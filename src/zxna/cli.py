@@ -38,7 +38,7 @@ def _load_time_config(path: Optional[str]) -> TimeConfig:
     )
 
 
-def _report(file: str, pipeline: str, out, sched: Schedule, runtime_s: float, verified) -> dict:
+def _report(file: str, pipeline: str, sched: Schedule, runtime_s: float, verified) -> dict:
     counts = schedule_counts(sched.ops)
     return {
         "file": file,
@@ -63,13 +63,11 @@ def _run_one(path: Path, pipeline: str, args, time_config: TimeConfig) -> dict:
             verified = equal_up_to_scalar(
                 circuit_unitary(out), circuit_unitary(c), tol=1e-8
             )
-        else:
-            verified = None
     if args.emit_qasm:
         Path(args.emit_qasm).write_text(write_qasm(out))
     if args.emit_schedule:
         Path(args.emit_schedule).write_text(sched.to_json())
-    return _report(path.name, pipeline, out, sched, runtime, verified)
+    return _report(path.name, pipeline, sched, runtime, verified)
 
 
 def _flatten(rep: dict) -> dict:
@@ -95,8 +93,9 @@ def _emit(rows: list[dict], fmt: str, stream) -> None:
         stream.write("\n")
         return
     fields = ["file", "pipeline", "gr_pulses", "gr_layers", "rz_layers", "ncp", "time_ms", "runtime_s", "verified"]
-    if any("error" in r for r in rows):
-        fields.append("error")
+    for extra in ("reduction", "error"):
+        if any(extra in r for r in rows):
+            fields.append(extra)
     flat = [_flatten(r) if "counts" in r else r for r in rows]
     if fmt == "csv":
         w = csv.DictWriter(stream, fieldnames=fields, extrasaction="ignore")
@@ -141,8 +140,6 @@ def main(argv=None) -> int:
     time_config = _load_time_config(args.time_config)
 
     if args.cmd == "run":
-        args.emit_qasm = getattr(args, "emit_qasm", None)
-        args.emit_schedule = getattr(args, "emit_schedule", None)
         try:
             rep = _run_one(Path(args.file), args.pipeline, args, time_config)
         except (QasmError, ValueError, RuntimeError) as e:
@@ -179,13 +176,7 @@ def main(argv=None) -> int:
                 {
                     "file": f"<mean reduction vs {args.baseline}>",
                     "pipeline": p,
-                    "time_ms": "",
-                    "runtime_s": "",
-                    "gr_pulses": "",
-                    "gr_layers": "",
-                    "rz_layers": "",
-                    "ncp": "",
-                    "verified": f"{100.0 * sum(rel) / len(rel):+.1f}%",
+                    "reduction": f"{100.0 * sum(rel) / len(rel):+.1f}%",
                 }
             )
     stream = io.StringIO()

@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal, Optional
 
-import numpy as np
-
 from .circuit import Circuit, Gate
 from .cnp import MatchPlan, insert_identity_pair, match_cnp, split_gadget, split_output_phase
 from .diagram import ZxDiagram
@@ -24,7 +22,7 @@ from .gflow import extend_gflow_insertion, find_gflow, labeled_graph_of, verify_
 from .phase import Phase
 from .simplify import _normalize_gadget_roots, pivot_simp
 
-__all__ = ["ExtractionMode", "ExtractionError", "extract_circuit", "gaussian_eliminate"]
+__all__ = ["ExtractionMode", "ExtractionError", "extract_circuit"]
 
 
 @dataclass(frozen=True)
@@ -47,15 +45,6 @@ class ExtractionError(RuntimeError):
         if d is not None:
             msg = f"{msg}\ndiagram: {d.to_json()}"
         super().__init__(msg)
-
-
-def gaussian_eliminate(biadjacency: np.ndarray) -> list[tuple[int, int]]:
-    """Row operations reducing a GF(2) biadjacency matrix to RREF.
-
-    Each ``(src, dst)`` op adds row src to row dst and corresponds to one
-    CX gate during extraction.
-    """
-    return row_reduce(biadjacency)[1]
 
 
 def pivot_yz_neighbor(d: ZxDiagram, gadget_root: int, frontier_spider: int) -> None:
@@ -218,19 +207,15 @@ class _Extractor:
         cols = sorted({w for q in rows for w in d.neighbors(d.outputs[q]) if w not in frontier})
         if not cols:
             return False
-        m = np.zeros((len(rows), len(cols)), dtype=np.uint8)
         cidx = {c: j for j, c in enumerate(cols)}
-        for i, q in enumerate(rows):
-            for w in d.neighbors(d.outputs[q]):
-                if w in cidx:
-                    m[i, cidx[w]] = 1
-        ops = gaussian_eliminate(m)
-        changed = False
-        for (src, dst) in ops:
-            qs, qd = rows[src], rows[dst]
-            self.apply_cx(qs, qd)
-            changed = True
-        return changed
+        m = [
+            sum(1 << cidx[w] for w in d.neighbors(d.outputs[q]) if w in cidx)
+            for q in rows
+        ]
+        ops = row_reduce(m, len(cols))[1]
+        for src, dst in ops:
+            self.apply_cx(rows[src], rows[dst])
+        return bool(ops)
 
     def apply_cx(self, q_src: int, q_dst: int) -> None:
         """Add the wires of frontier q_src onto frontier q_dst, emitting a CX.

@@ -1,29 +1,30 @@
 """Shared GF(2) linear algebra kernel.
 
-Matrices are numpy uint8 arrays with entries 0/1.  Used by the gflow
-search and by circuit extraction (where recorded row operations become CX
-gates).
+A matrix is a list of rows and each row is a Python int: bit ``j`` is the
+entry in column ``j``.  Only the columns below ``ncols`` take part in the
+elimination.  Higher bits ride along with every row operation, so a caller
+that sets one distinct bit per input row above ``ncols`` can read, from
+each reduced row, which input rows were added to make it.  The gflow
+search uses that to solve a whole layer with one elimination; circuit
+extraction uses the recorded row operations as CX gates.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
-
-__all__ = ["row_reduce", "rank", "solve"]
+__all__ = ["row_reduce"]
 
 
-def row_reduce(m: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]], list[int]]:
-    """Reduced row-echelon form over GF(2).
+def row_reduce(rows: list[int], ncols: int) -> tuple[list[int], list[tuple[int, int]], list[int]]:
+    """Reduced row-echelon form over GF(2) of the columns below ``ncols``.
 
     Returns ``(rref, ops, pivot_cols)`` where each op ``(src, dst)`` means
     "row dst ^= row src" and replaying the ops on the input reproduces the
-    output.  Row swaps are expressed as three xor ops so that every
-    operation maps to a single CX gate during extraction.
+    output.  Columns are pivoted in increasing order on the first row at or
+    below the current one.  Row swaps are expressed as three xor ops so that
+    every operation maps to a single CX gate during extraction.
     """
-    a = m.copy().astype(np.uint8)
-    rows, cols = a.shape
+    a = list(rows)
+    n = len(a)
     ops: list[tuple[int, int]] = []
     pivots: list[int] = []
 
@@ -32,36 +33,20 @@ def row_reduce(m: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]], list[i
         ops.append((src, dst))
 
     r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if a[i, c]), None)
+    for c in range(ncols):
+        if r == n:
+            break
+        bit = 1 << c
+        pivot = next((i for i in range(r, n) if a[i] & bit), None)
         if pivot is None:
             continue
         if pivot != r:
             xor(pivot, r)
             xor(r, pivot)
             xor(pivot, r)
-        for i in range(rows):
-            if i != r and a[i, c]:
+        for i in range(n):
+            if i != r and a[i] & bit:
                 xor(r, i)
         pivots.append(c)
         r += 1
-        if r == rows:
-            break
     return a, ops, pivots
-
-
-def rank(m: np.ndarray) -> int:
-    return len(row_reduce(m)[2])
-
-
-def solve(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
-    """One solution x of ``a @ x = b (mod 2)``, or None if inconsistent."""
-    rows, cols = a.shape
-    aug = np.concatenate([a.astype(np.uint8), b.reshape(-1, 1).astype(np.uint8)], axis=1)
-    red, _, pivots = row_reduce(aug)
-    if cols in pivots:
-        return None
-    x = np.zeros(cols, dtype=np.uint8)
-    for r, c in enumerate(pivots):
-        x[c] = red[r, cols]
-    return x

@@ -3,8 +3,18 @@
 A labeled open graph assigns each vertex a measurement plane (XY, XZ or
 YZ).  In this pipeline gadget roots are YZ, everything else XY (gadget
 tops are excluded from the vertex set); the verifier nevertheless
-implements all three planes.  The search produces a maximally delayed
-layering: correction sets are solved layer by layer as GF(2) systems.
+implements all three planes.
+
+The search produces a maximally delayed layering (Mhalla & Perdrix,
+"Finding optimal flows efficiently", ICALP 2008).  Every vertex pending in
+a layer shares one GF(2) system: the pending vertices' adjacency to the
+processed non-input vertices.  That matrix is eliminated once per layer
+and each pending vertex v then only needs its right-hand side over the
+pending rows (Backens et al., "There and back again", Quantum 5, 421):
+
+- XY: the unit vector of v;
+- YZ: v's pending neighbors, since v corrects itself (never for inputs);
+- XZ: the sum of both.
 """
 
 from __future__ import annotations
@@ -12,10 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-import numpy as np
-
 from .diagram import ZxDiagram
-from .gf2 import solve
+from .gf2 import row_reduce
 
 __all__ = [
     "LabeledOpenGraph",
@@ -106,13 +114,8 @@ def find_gflow(graph: LabeledOpenGraph) -> Optional[GFlow]:
     k = 0
     while len(processed) < len(vertices):
         k += 1
-        solved: dict[int, frozenset[int]] = {}
-        cols = sorted(processed - ins)
         pending = [v for v in vertices if v not in processed]
-        for v in pending:
-            s = _solve_correction(graph, v, cols, set(pending))
-            if s is not None:
-                solved[v] = s
+        solved = _solve_layer(graph, pending, sorted(processed - ins))
         if not solved:
             return None
         for v, s in solved.items():
@@ -124,35 +127,44 @@ def find_gflow(graph: LabeledOpenGraph) -> Optional[GFlow]:
     return GFlow(corr, order)
 
 
-def _solve_correction(
-    graph: LabeledOpenGraph, v: int, cols: list[int], pending: set[int]
-) -> Optional[frozenset[int]]:
-    lab = graph.labels[v]
-    include_self = lab in ("XZ", "YZ")
-    if include_self and v in graph.inputs:
-        return None
-    col_list = [c for c in cols if c != v]
-    forbidden = sorted((pending - {v}))
-    rows = forbidden + [v]
-    a = np.zeros((len(rows), len(col_list)), dtype=np.uint8)
-    b = np.zeros(len(rows), dtype=np.uint8)
-    for i, u in enumerate(rows):
-        nbrs = graph.neighbors(u)
-        for j, c in enumerate(col_list):
-            if c in nbrs:
-                a[i, j] = 1
-        if include_self and v in nbrs:
-            b[i] ^= 1
-    # row for v itself: XY and XZ need v in Odd(g(v)); YZ needs v not in Odd
-    if lab in ("XY", "XZ"):
-        b[-1] ^= 1
-    x = solve(a, b)
-    if x is None:
-        return None
-    s = {col_list[j] for j in range(len(col_list)) if x[j]}
-    if include_self:
-        s.add(v)
-    return frozenset(s)
+def _solve_layer(
+    graph: LabeledOpenGraph, pending: list[int], cols: list[int]
+) -> dict[int, frozenset[int]]:
+    """Correction sets over ``cols`` for every solvable pending vertex.
+
+    Row i is pending vertex i's adjacency to the columns, with bit i set
+    above them to track row combinations.  After one elimination, the zero
+    rows' combinations span the left kernel and each pivot row's
+    combination gives its pivot column's entry of the solution.
+    """
+    ncols = len(cols)
+    cidx = {c: j for j, c in enumerate(cols)}
+    pidx = {v: i for i, v in enumerate(pending)}
+    rows = [
+        sum((1 << cidx[w] for w in graph.neighbors(u) if w in cidx), 1 << (ncols + i))
+        for i, u in enumerate(pending)
+    ]
+    rref, _, pivots = row_reduce(rows, ncols)
+    kernel = [row >> ncols for row in rref[len(pivots):]]
+    basis = [(cols[c], row >> ncols) for c, row in zip(pivots, rref)]
+    solved: dict[int, frozenset[int]] = {}
+    for v in pending:
+        lab = graph.labels[v]
+        include_self = lab in ("XZ", "YZ")
+        if include_self and v in graph.inputs:
+            continue
+        # XY and XZ need v in Odd(g(v)); XZ and YZ put v in g(v), which
+        # flips every pending neighbor of v
+        rhs = 1 << pidx[v] if lab in ("XY", "XZ") else 0
+        if include_self:
+            rhs ^= sum(1 << pidx[w] for w in graph.neighbors(v) if w in pidx)
+        if any((y & rhs).bit_count() & 1 for y in kernel):
+            continue
+        s = {c for c, comb in basis if (comb & rhs).bit_count() & 1}
+        if include_self:
+            s.add(v)
+        solved[v] = frozenset(s)
+    return solved
 
 
 def verify_gflow(graph: LabeledOpenGraph, f: GFlow) -> bool:

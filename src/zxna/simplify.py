@@ -45,10 +45,6 @@ class RewriteTrace:
         return json.dumps(self.steps)
 
 
-def _interior(d: ZxDiagram, v: int, boundary: set[int]) -> bool:
-    return v not in boundary
-
-
 def _boundary(d: ZxDiagram) -> set[int]:
     return set(d.inputs) | set(d.outputs)
 

@@ -72,6 +72,7 @@ def test_run_table_and_csv_formats(qasm_file, capsys):
     assert rc == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0].startswith("file,pipeline,gr_pulses")
+    assert "reduction" not in lines[0]
     assert len(lines) == 2
 
 
@@ -112,7 +113,8 @@ def test_suite_aggregate(tmp_path, capsys):
     assert all(r["verified"] is True for r in data)
     assert len(agg) == 2
     assert all(r["file"] == "<mean reduction vs no-decomp>" for r in agg)
-    assert all(r["verified"].endswith("%") for r in agg)
+    assert all(r["reduction"].endswith("%") for r in agg)
+    assert all("%" not in str(r.get("verified", "")) for r in agg)
 
 
 def test_suite_writes_out_file(tmp_path, capsys):
@@ -123,7 +125,9 @@ def test_suite_writes_out_file(tmp_path, capsys):
     rc = main(["suite", str(d), "--pipeline", "no-decomp", "--format", "csv", "--out", str(out)])
     assert rc == 0
     assert capsys.readouterr().out == ""
-    assert out.read_text().startswith("file,pipeline")
+    header = out.read_text().splitlines()[0]
+    assert header.startswith("file,pipeline")
+    assert header.endswith(",reduction")
 
 
 def test_suite_error_marks_failure(tmp_path, capsys):

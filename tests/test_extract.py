@@ -1,6 +1,5 @@
 import random
 
-import numpy as np
 import pytest
 
 from helpers import qft_circuit, rand_corpus_circuit, rand_rich_circuit
@@ -17,15 +16,16 @@ from zxna import (
     extract_circuit,
     full_simplify,
 )
-from zxna.extract import ExtractionError, gaussian_eliminate, pivot_yz_neighbor
+from zxna.extract import ExtractionError, pivot_yz_neighbor
+from zxna.gf2 import row_reduce
 from zxna.ingest import circuit_to_diagram, to_graph_like
 
 
-def _int_rank(m):
+def _int_rank(rows, ncols):
     """GF(2) rank via bitmask elimination, independent of the library kernel."""
-    rows = [int("".join(str(int(x)) for x in row), 2) if len(row) else 0 for row in m]
+    rows = [r & ((1 << ncols) - 1) for r in rows]
     rank = 0
-    for bit in range(m.shape[1] - 1, -1, -1):
+    for bit in range(ncols - 1, -1, -1):
         piv = next((i for i, r in enumerate(rows) if (r >> bit) & 1), None)
         if piv is None:
             continue
@@ -36,38 +36,52 @@ def _int_rank(m):
 
 
 def test_gaussian_eliminate_identity():
-    assert gaussian_eliminate(np.eye(3, dtype=np.uint8)) == []
+    assert row_reduce([0b001, 0b010, 0b100], 3)[1] == []
 
 
 def test_gaussian_eliminate_single_op():
-    m = np.array([[1, 1], [0, 1]], dtype=np.uint8)
-    ops = gaussian_eliminate(m)
+    m = [0b11, 0b10]  # [[1, 1], [0, 1]]: bit j is column j
+    ops = row_reduce(m, 2)[1]
     assert len(ops) == 1
     src, dst = ops[0]
     m[dst] ^= m[src]
-    assert np.array_equal(m, np.eye(2, dtype=np.uint8))
+    assert m == [0b01, 0b10]
 
 
 def test_gaussian_eliminate_replay_gives_rref():
     rng = random.Random(5)
     for _ in range(50):
         r, c = rng.randint(1, 6), rng.randint(1, 6)
-        m = np.array([[rng.randint(0, 1) for _ in range(c)] for _ in range(r)], dtype=np.uint8)
-        ops = gaussian_eliminate(m)
-        replay = m.copy()
+        m = [sum(rng.randint(0, 1) << j for j in range(c)) for _ in range(r)]
+        # row i carries bit c + i above the columns to record combinations
+        tagged = [row | 1 << (c + i) for i, row in enumerate(m)]
+        rref, ops, pivots = row_reduce(tagged, c)
+        replay = list(tagged)
         for src, dst in ops:
             replay[dst] ^= replay[src]
+        assert replay == rref
+        low = [row & ((1 << c) - 1) for row in replay]
         # reduced row echelon: pivot columns are unit vectors
-        assert _int_rank(replay) == _int_rank(m)
+        assert _int_rank(low, c) == _int_rank(m, c) == len(pivots)
         seen = -1
-        for i in range(r):
-            nz = np.flatnonzero(replay[i])
-            if len(nz) == 0:
+        for row in low:
+            if row == 0:
                 continue
-            piv = nz[0]
+            piv = (row & -row).bit_length() - 1
             assert piv > seen
             seen = piv
-            assert replay[:, piv].sum() == 1
+            assert sum((x >> piv) & 1 for x in low) == 1
+        # ride-along bits: each reduced row is the sum of the input rows its
+        # combination names, so the zero rows' combinations sum to 0
+        for i, row in enumerate(rref):
+            comb = row >> c
+            acc = 0
+            for j in range(r):
+                if (comb >> j) & 1:
+                    acc ^= m[j]
+            assert acc == low[i]
+            if i >= len(pivots):
+                assert low[i] == 0 and comb != 0
 
 
 def test_extract_identity():
