@@ -187,10 +187,6 @@ def layerize(c: Circuit) -> list:
     return layers
 
 
-def _layer_theta(lay: dict) -> float:
-    return max((zyz_angles(u)[1] for u in lay.values()), default=0.0)
-
-
 def greedy_assign(layers: list, max_passes: int = 20) -> list:
     """Reassign movable single-qubit unitaries to cheaper layers in place.
 
@@ -200,17 +196,15 @@ def greedy_assign(layers: list, max_passes: int = 20) -> list:
     the total is monotonically non-increasing and the circuit unitary is
     unchanged.
     """
+    # Euler theta of each unitary, computed once; it moves with its unitary
+    thetas = [{q: zyz_angles(u)[1] for q, u in lay.items()} if i % 2 == 0 else None
+              for i, lay in enumerate(layers)]
     for _ in range(max_passes):
         moved = False
         for i in range(0, len(layers), 2):
             for q in sorted(layers[i]):
-                u = layers[i][q]
-                tq = zyz_angles(u)[1]
-                others = max(
-                    (zyz_angles(w)[1] for p, w in layers[i].items() if p != q),
-                    default=0.0,
-                )
-                here = _layer_theta(layers[i])
+                tq = thetas[i][q]
+                others = max((t for p, t in thetas[i].items() if p != q), default=0.0)
                 if tq <= others + _EPS:
                     continue  # not the critical gate of its layer
                 best_j, best_delta = None, -_EPS
@@ -221,16 +215,16 @@ def greedy_assign(layers: list, max_passes: int = 20) -> list:
                         if any(q in op.qubits for op in mid):
                             break
                         if q not in layers[j]:
-                            tj = _layer_theta(layers[j])
-                            delta = (others - here) + (max(tj, tq) - tj)
+                            tj = max(thetas[j].values(), default=0.0)
+                            delta = (others - tq) + (max(tj, tq) - tj)
                             if delta < best_delta:
                                 best_j, best_delta = j, delta
                         else:
                             break
                         j += step
                 if best_j is not None:
-                    layers[best_j][q] = u
-                    del layers[i][q]
+                    layers[best_j][q] = layers[i].pop(q)
+                    thetas[best_j][q] = thetas[i].pop(q)
                     moved = True
         if not moved:
             break
@@ -259,12 +253,14 @@ def transversal_decompose(layer: dict, num_qubits: int) -> list[NativeOp]:
     pre: dict[int, float] = {}
     mid: dict[int, float] = {}
     post: dict[int, float] = {}
+    mid_eulers: dict[float, tuple] = {}  # per distinct b; every idle qubit has b = pi
     for q in range(num_qubits):
         beta, theta, alpha = eulers.get(q, (0.0, 0.0, 0.0))
         ratio = math.sin(theta / 2.0) / math.sin(half)
         b = 2.0 * math.acos(min(1.0, max(0.0, ratio)))
-        m = _ry(half) @ _rz(b) @ _ry(half)
-        nu, _, mu = zyz_angles(m)
+        if b not in mid_eulers:
+            mid_eulers[b] = zyz_angles(_ry(half) @ _rz(b) @ _ry(half))
+        nu, _, mu = mid_eulers[b]
         a = _norm_angle(beta - nu)
         cc = _norm_angle(alpha - mu)
         if abs(a) > _EPS:

@@ -3,6 +3,14 @@
 Dense unitaries of circuits, assignment-sum evaluation of ZX-diagrams, and
 projective matrix comparison.  Qubit ordering is little-endian throughout:
 qubit 0 is the least significant bit of a basis index.
+
+``apply_gate`` updates a ``(2**n, m)`` array in place through its
+``(2,)*n + (m,)`` view and picks a kernel from the gate matrix's structure:
+a diagonal matrix scales the sub-slices whose entry is not 1, a 0/1
+permutation matrix exchanges sub-slices, a dense one-qubit matrix mixes the
+two half-slices, and any other matrix is contracted over its qubit axes and
+written back.  Only that last, general kernel copies the whole array; no
+gate of the circuit IR reaches it.
 """
 
 from __future__ import annotations
@@ -67,18 +75,60 @@ def gate_matrix(g: Gate) -> np.ndarray:
     raise ValueError(f"no matrix for gate kind {k!r}")
 
 
+def _sub(bits: int, qubits: tuple[int, ...], n: int) -> tuple:
+    """Index of the sub-array where gate qubit ``qubits[i]`` holds bit i of ``bits``."""
+    idx = [slice(None)] * n
+    for i, q in enumerate(qubits):
+        idx[n - 1 - q] = (bits >> i) & 1  # axis of qubit q is n - 1 - q
+    return tuple(idx)
+
+
 def apply_gate(state: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
-    """Apply a k-qubit gate matrix to a (2**n, m) array of column vectors."""
+    """Apply a k-qubit gate matrix in place to a (2**n, m) array of column vectors.
+
+    ``state`` must be a C-contiguous complex128 array; it is updated and
+    returned.  ``qubits[0]`` is the gate matrix's least significant bit.
+    """
+    if state.dtype != np.complex128 or not state.flags.c_contiguous:
+        raise ValueError("state must be a C-contiguous complex128 array")
+    t = state.reshape((2,) * n + (state.shape[1],))
     k = len(qubits)
-    m = state.shape[1]
-    t = state.reshape([2] * n + [m])
-    # axis of qubit q is (n - 1 - q); gate's most significant bit is qubits[-1]
-    axes = [n - 1 - q for q in reversed(qubits)]
-    t = np.moveaxis(t, axes, range(k))
-    t = mat @ t.reshape(1 << k, -1)
-    t = t.reshape([2] * k + [2] * (n - k) + [m])
-    t = np.moveaxis(t, range(k), axes)
-    return t.reshape(1 << n, m)
+    diag = np.diagonal(mat)
+    if np.count_nonzero(mat) == np.count_nonzero(diag):  # diagonal
+        for j, d in enumerate(diag):
+            if d != 1:
+                t[_sub(j, qubits, n)] *= d
+    elif (np.all((mat == 0) | (mat == 1))
+          and np.all(mat.sum(axis=0) == 1) and np.all(mat.sum(axis=1) == 1)):
+        # permutation: basis state j goes to dest[j]; walk each cycle once
+        dest = np.argmax(mat, axis=0).tolist()
+        done: set[int] = set()
+        for start in range(1 << k):
+            if start in done or dest[start] == start:
+                continue
+            cycle = [start]
+            while dest[cycle[-1]] != start:
+                cycle.append(dest[cycle[-1]])
+            done.update(cycle)
+            last = t[_sub(cycle[-1], qubits, n)].copy()
+            for a, b in zip(cycle[:0:-1], cycle[-2::-1]):
+                t[_sub(a, qubits, n)] = t[_sub(b, qubits, n)]
+            t[_sub(start, qubits, n)] = last
+    elif k == 1:
+        # a 3-d view keeps each half-slice one strided block, which numpy walks faster
+        t3 = state.reshape(1 << (n - 1 - qubits[0]), 2, -1)
+        lo, hi = t3[:, 0], t3[:, 1]
+        old_lo = lo.copy()
+        lo *= mat[0, 0]
+        lo += mat[0, 1] * hi
+        hi *= mat[1, 1]
+        old_lo *= mat[1, 0]
+        hi += old_lo
+    else:
+        # gate's most significant bit is qubits[-1]
+        v = np.moveaxis(t, [n - 1 - q for q in reversed(qubits)], range(k))
+        v[...] = (mat @ v.reshape(1 << k, -1)).reshape(v.shape)
+    return state
 
 
 def circuit_unitary(c: Circuit) -> np.ndarray:

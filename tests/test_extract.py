@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from helpers import qft_circuit, rand_corpus_circuit, rand_rich_circuit
@@ -15,10 +16,13 @@ from zxna import (
     equal_up_to_scalar,
     extract_circuit,
     full_simplify,
+    parse_qasm,
+    synthesize,
 )
 from zxna.extract import ExtractionError, pivot_yz_neighbor
 from zxna.gf2 import row_reduce
 from zxna.ingest import circuit_to_diagram, to_graph_like
+from zxna.oracle import apply_gate, gate_matrix
 
 
 def _int_rank(rows, ncols):
@@ -208,3 +212,45 @@ def test_rich_gate_set_roundtrip():
         full_simplify(d)
         out = extract_circuit(d, ExtractionMode("no-insert"))
         assert equal_up_to_scalar(circuit_unitary(out), ref, 1e-8), seed
+
+
+# phasepoly12-4 of the benchmark's `structured` workload at seed 8: an H wall,
+# three layers of CP(k*pi/8) and CCZ gates on 12 qubits, then an Rx mixer.
+PHASEPOLY_QASM = """\
+OPENQASM 2.0;
+include "qelib1.inc";
+qreg q[12];
+h q[0]; h q[1]; h q[2]; h q[3]; h q[4]; h q[5]; h q[6]; h q[7]; h q[8];
+h q[9]; h q[10]; h q[11]; cp(pi/2) q[2],q[4]; cp(5*pi/8) q[10],q[8];
+cp(7*pi/8) q[8],q[4]; cp(5*pi/8) q[3],q[9]; cp(7*pi/8) q[6],q[2];
+cp(pi/2) q[7],q[10]; cp(pi/2) q[1],q[4]; cp(7*pi/8) q[0],q[11];
+ccz q[5],q[8],q[4]; ccz q[5],q[6],q[0]; ccz q[9],q[2],q[0];
+cp(pi/2) q[1],q[2]; cp(7*pi/8) q[9],q[2]; cp(3*pi/4) q[6],q[9];
+cp(3*pi/8) q[9],q[1]; cp(5*pi/8) q[8],q[0]; cp(3*pi/8) q[11],q[10];
+cp(3*pi/8) q[5],q[1]; cp(pi/2) q[10],q[1]; ccz q[2],q[10],q[3];
+ccz q[7],q[5],q[9]; ccz q[5],q[11],q[6]; cp(3*pi/4) q[5],q[10];
+cp(3*pi/4) q[0],q[2]; cp(3*pi/8) q[10],q[11]; cp(pi/4) q[0],q[11];
+cp(pi/2) q[8],q[5]; cp(5*pi/8) q[5],q[7]; cp(pi/4) q[2],q[4];
+cp(7*pi/8) q[10],q[4]; ccz q[0],q[7],q[4]; ccz q[9],q[10],q[4];
+ccz q[7],q[4],q[10]; rx(3*pi/4) q[0]; rx(3*pi/4) q[1]; rx(3*pi/4) q[2];
+rx(-pi/4) q[3]; rx(-pi/4) q[4]; rx(pi/4) q[5]; rx(3*pi/4) q[6];
+rx(-pi/4) q[7]; rx(3*pi/4) q[8]; rx(3*pi/4) q[9]; rx(pi/4) q[10];
+rx(-pi/4) q[11];
+"""
+
+
+@pytest.mark.xfail(strict=True, raises=ExtractionError,
+                   reason="controlled-phase matching does not settle on this circuit")
+def test_with_insert_extracts_phase_polynomial():
+    c = parse_qasm(PHASEPOLY_QASM)
+    out = synthesize(c, "zx-with-insert")
+    # three random states instead of 12-qubit unitaries (256 MB each)
+    rng = np.random.default_rng(0)
+    psi = rng.normal(size=(1 << 12, 3)) + 1j * rng.normal(size=(1 << 12, 3))
+    images = []
+    for circ in (out, c):
+        v = psi.copy()
+        for g in circ.gates:
+            apply_gate(v, gate_matrix(g), g.qubits, 12)
+        images.append(v)
+    assert equal_up_to_scalar(*images, 1e-8)
