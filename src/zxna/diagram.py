@@ -101,15 +101,6 @@ class ZxDiagram:
     def contains(self, v: int) -> bool:
         return v in self._phases
 
-    def is_boundary(self, v: int) -> bool:
-        return v in self._in_set() or v in self._out_set()
-
-    def _in_set(self) -> set[int]:
-        return set(self.inputs)
-
-    def _out_set(self) -> set[int]:
-        return set(self.outputs)
-
     def copy(self) -> "ZxDiagram":
         d = ZxDiagram()
         d._phases = dict(self._phases)
@@ -163,7 +154,7 @@ class ZxDiagram:
 
     def find_gadgets(self) -> list[GadgetView]:
         """All phase gadgets: interior degree-1 tops on phase-free interior roots."""
-        boundary = self._in_set() | self._out_set()
+        boundary = set(self.inputs) | set(self.outputs)
         out = []
         for top in self.spiders():
             if top in boundary or len(self._adj[top]) != 1:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .diagram import ZxDiagram
 from .phase import Phase
@@ -28,6 +28,8 @@ __all__ = [
 ]
 
 MAX_ROUNDS = 10000
+
+_PI = Phase(1)
 
 
 @dataclass
@@ -118,16 +120,20 @@ def gadget_pivot(d: ZxDiagram, u: int, v: int) -> bool:
     return True
 
 
-def _normalize_gadget_roots(d: ZxDiagram) -> None:
-    """Flip roots that picked up a pi phase: negate the top, zero the root."""
+def _hanging(d: ZxDiagram) -> Iterator[tuple[int, int]]:
+    """Yield (top, root): interior degree-1 tops on interior roots, tested as reached."""
     boundary = _boundary(d)
     for top in list(d.spiders()):
-        if top in boundary or d.degree(top) != 1:
-            continue
-        (root,) = d.neighbors(top)
-        if root in boundary:
-            continue
-        if d.phase(root) == Phase(1):
+        if d.contains(top) and top not in boundary and d.degree(top) == 1:
+            (root,) = d.neighbors(top)
+            if root not in boundary:
+                yield top, root
+
+
+def _normalize_gadget_roots(d: ZxDiagram) -> None:
+    """Flip roots that picked up a pi phase: negate the top, zero the root."""
+    for top, root in _hanging(d):
+        if d.phase(root) == _PI:
             d.set_phase(root, Phase(0))
             d.set_phase(top, -d.phase(top))
 
@@ -143,14 +149,8 @@ def _repair_gadgets(d: ZxDiagram) -> None:
     """
     while True:
         _normalize_gadget_roots(d)
-        boundary = _boundary(d)
         dissolved = False
-        for top in list(d.spiders()):
-            if not d.contains(top) or top in boundary or d.degree(top) != 1:
-                continue
-            (root,) = d.neighbors(top)
-            if root in boundary:
-                continue
+        for _, root in _hanging(d):
             if d.phase(root).is_proper_clifford():
                 ok = lc_simp(d, root)
                 assert ok
@@ -235,20 +235,33 @@ def full_simplify(
 
     ``on_rewrite`` is a debug hook called after every individual rewrite
     (used by the test suite to assert gflow preservation step by step).
+
+    The gadget index (tops, roots, top -> root) is one ``find_gadgets`` scan,
+    kept until a recorded rewrite or the start of a Clifford round (after
+    ``gadget_fusion``'s unrecorded root flips) clears it; a rewrite that
+    returns False leaves the diagram untouched, so the index is never stale.
     """
     if trace is None:
         trace = RewriteTrace()
+    index: Optional[tuple[set[int], set[int], dict[int, int]]] = None
 
     def did(rule: str, spiders: tuple[int, ...]) -> None:
+        nonlocal index
+        index = None
         trace.record(rule, spiders, d)
         if on_rewrite is not None:
             on_rewrite(rule, d)
 
     def gadget_parts() -> tuple[set[int], set[int], dict[int, int]]:
-        gs = d.find_gadgets()
-        return {g.top for g in gs}, {g.root for g in gs}, {g.top: g.root for g in gs}
+        nonlocal index
+        if index is None:
+            gs = d.find_gadgets()
+            index = {g.top for g in gs}, {g.root for g in gs}, {g.top: g.root for g in gs}
+        return index
 
     def clifford_round() -> bool:
+        nonlocal index
+        index = None
         changed = False
         boundary = _boundary(d)
         for v in sorted(d.spiders()):
@@ -266,11 +279,8 @@ def full_simplify(
                 changed = True
                 # fusing may relabel a boundary spider
                 boundary = _boundary(d)
-        boundary = _boundary(d)
         for v in sorted(d.spiders()):
-            if not d.contains(v) or v in boundary:
-                continue
-            if not d.phase(v).is_proper_clifford():
+            if not d.contains(v) or v in boundary or not d.phase(v).is_proper_clifford():
                 continue
             tops, roots, root_of = gadget_parts()
             if v in roots:
@@ -289,15 +299,13 @@ def full_simplify(
                 _repair_gadgets(d)
                 did("lc", (v,))
                 changed = True
-        boundary = _boundary(d)
         for u in sorted(d.spiders()):
             if not d.contains(u) or u in boundary or not d.phase(u).is_pauli():
                 continue
-            tops, roots, root_of = gadget_parts()
+            tops, _, root_of = gadget_parts()
+            # a failed pivot changes nothing, so the neighbor snapshot stays valid
             for v in sorted(d.neighbors(u)):
-                if not d.contains(u):
-                    break
-                if v in boundary or not d.contains(v) or not d.phase(v).is_pauli():
+                if v in boundary or not d.phase(v).is_pauli():
                     continue
                 # gadget tops only pivot against their own root (removing the
                 # whole gadget); anything else converts measurement planes
@@ -315,16 +323,16 @@ def full_simplify(
     def gadget_round() -> bool:
         changed = False
         boundary = _boundary(d)
-        tops = {g.top for g in d.find_gadgets()} | {g.root for g in d.find_gadgets()}
+        # spiders of the gadgets present at the round's start never pivot
+        tops, roots, _ = gadget_parts()
+        parts = tops | roots
         for u in sorted(d.spiders()):
-            if not d.contains(u) or u in boundary or u in tops:
+            if not d.contains(u) or u in boundary or u in parts:
                 continue
             if not d.phase(u).is_pauli():
                 continue
             for v in sorted(d.neighbors(u)):
-                if not d.contains(u):
-                    break
-                if v in boundary or v in tops or not d.contains(v):
+                if v in boundary or v in parts:
                     continue
                 if d.phase(v).is_clifford() or d.degree(v) < 2:
                     continue

@@ -1,6 +1,8 @@
+import hashlib
+
 import pytest
 
-from helpers import rand_corpus_circuit, rand_rich_circuit
+from helpers import qft_circuit, rand_corpus_circuit, rand_rich_circuit
 from zxna import Circuit, Gate, Phase, ZxDiagram, circuit_unitary, diagram_tensor, equal_up_to_scalar, full_simplify
 from zxna.ingest import circuit_to_diagram, to_graph_like
 from zxna.simplify import gadget_fusion, gadget_pivot, id_simp, lc_simp, pivot_simp
@@ -173,3 +175,38 @@ def test_clifford_circuit_collapses():
     # no non-Clifford phases anywhere, so no interior spiders survive
     assert all(v in boundary for v in d.spiders())
     assert equal_up_to_scalar(diagram_tensor(d), circuit_unitary(c), 1e-9)
+
+
+def _trace_corpus():
+    """qft4/8/12/16 and rand_corpus_circuit seeds 0-59, ingested and graph-like."""
+    circuits = [qft_circuit(n) for n in (4, 8, 12, 16)]
+    circuits += [rand_corpus_circuit(seed) for seed in range(60)]
+    for c in circuits:
+        d = circuit_to_diagram(c)
+        to_graph_like(d)
+        yield d
+
+
+def test_full_simplify_scans_gadgets_per_rewrite_not_per_vertex(monkeypatch):
+    scans = 0
+    find_gadgets = ZxDiagram.find_gadgets
+
+    def counted(self):
+        nonlocal scans
+        scans += 1
+        return find_gadgets(self)
+
+    monkeypatch.setattr(ZxDiagram, "find_gadgets", counted)
+    for d in _trace_corpus():
+        scans = 0
+        trace = full_simplify(d)
+        assert scans <= 4 * (len(trace.steps) + 1), (scans, len(trace.steps))
+
+
+def test_full_simplify_trace_digest():
+    # RewriteTrace identity on the corpus: a driver change that alters any
+    # rewrite, its order or its spiders must update this digest on purpose
+    h = hashlib.sha256()
+    for d in _trace_corpus():
+        h.update(full_simplify(d).to_json().encode())
+    assert h.hexdigest() == "3cb51f01dc07c3f1b9b9f7a079f4374f1bdd8cee75e742ad21d6c218e4d4bac4"
