@@ -60,9 +60,6 @@ class Gate:
         if self.kind in ("NCP", "NCZ") and n < 2:
             raise ValueError(f"{self.kind} needs at least two qubits")
 
-    def is_diagonal(self) -> bool:
-        return self.kind in ("Z", "S", "Sdg", "T", "Tdg", "Rz", "CZ", "NCP", "NCZ")
-
     def __repr__(self) -> str:
         if self.angle is not None:
             return f"{self.kind}({self.angle}){list(self.qubits)}"

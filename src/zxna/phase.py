@@ -3,55 +3,63 @@
 All angles in the compiler (spider phases, gate angles, gadget phases) are
 instances of :class:`Phase`, so phase arithmetic is exact and pattern
 matching on angles never suffers from floating point drift.
+
+A phase is a reduced pair of Python ints and its arithmetic works on the
+ints; ``fractions.Fraction`` only reads other rational inputs and answers
+:attr:`Phase.frac`.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import index
 
 __all__ = ["Phase", "rationalize_angle"]
 
 
 class Phase:
-    """An angle ``(n/d)*pi`` stored as a reduced fraction.
+    """An angle ``(n/d)*pi`` stored as ints with ``gcd(n, d) == 1``, ``d > 0``.
 
     The value is normalized modulo 2*pi into the half-open interval
-    ``(-pi, pi]``, i.e. the internal fraction lies in ``(-1, 1]``.
+    ``(-pi, pi]``, i.e. ``n/d`` lies in ``(-1, 1]``, so equal phases have
+    equal pairs.  The hash is ``hash(("Phase", self.frac))``, as when the
+    value was held as a ``Fraction``, so sets and dicts of phases keep
+    their iteration order.
     """
 
-    __slots__ = ("_frac",)
+    __slots__ = ("_n", "_d")
 
-    def __init__(self, numerator: int | Fraction = 0, denominator: int = 1):
-        f = Fraction(numerator, denominator) % 2
-        if f > 1:
-            f -= 2
-        object.__setattr__(self, "_frac", f)
+    def __new__(cls, numerator: int | Fraction = 0, denominator: int = 1) -> "Phase":
+        if type(numerator) is not int or type(denominator) is not int or denominator <= 0:
+            f = Fraction(numerator, denominator)
+            numerator, denominator = int(f.numerator), int(f.denominator)
+        return _phase(numerator, denominator)
 
     @property
     def frac(self) -> Fraction:
         """The multiple of pi, in ``(-1, 1]``."""
-        return self._frac
+        return Fraction(self._n, self._d)
 
     @property
     def numerator(self) -> int:
-        return self._frac.numerator
+        return self._n
 
     @property
     def denominator(self) -> int:
-        return self._frac.denominator
+        return self._d
 
     def __add__(self, other: "Phase") -> "Phase":
-        return Phase(self._frac + other._frac)
+        return _phase(self._n * other._d + other._n * self._d, self._d * other._d)
 
     def __sub__(self, other: "Phase") -> "Phase":
-        return Phase(self._frac - other._frac)
+        return _phase(self._n * other._d - other._n * self._d, self._d * other._d)
 
     def __neg__(self) -> "Phase":
-        return Phase(-self._frac)
+        return _phase(-self._n, self._d)
 
     def __mul__(self, k: int) -> "Phase":
-        return Phase(self._frac * k)
+        return _phase(self._n * index(k), self._d)
 
     __rmul__ = __mul__
 
@@ -59,43 +67,59 @@ class Phase:
         """Exact division of the normalized representative by ``2**k``."""
         if k < 0:
             raise ValueError("k must be nonnegative")
-        return Phase(self._frac / (1 << k))
+        return _phase(self._n, self._d << k)
 
     def is_zero(self) -> bool:
-        return self._frac == 0
+        return self._n == 0
 
     def is_pauli(self) -> bool:
         """True for phases 0 and pi."""
-        return self._frac.denominator == 1
+        return self._d == 1
 
     def is_clifford(self) -> bool:
         """True for multiples of pi/2."""
-        return self._frac.denominator in (1, 2)
+        return self._d <= 2
 
     def is_proper_clifford(self) -> bool:
         """True for exactly +pi/2 or -pi/2."""
-        return self._frac.denominator == 2
+        return self._d == 2
 
     def to_float(self) -> float:
-        return float(self._frac) * math.pi
+        # int true division rounds once, as float(Fraction) does
+        return self._n / self._d * math.pi
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Phase):
-            return self._frac == other._frac
+            return self._n == other._n and self._d == other._d
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(("Phase", self._frac))
+        return hash(("Phase", Fraction(self._n, self._d)))
 
     def __repr__(self) -> str:
-        return f"Phase({self._frac.numerator}, {self._frac.denominator})"
+        return f"Phase({self._n}, {self._d})"
 
     def __str__(self) -> str:
-        n, d = self._frac.numerator, self._frac.denominator
+        n, d = self._n, self._d
         if n == 0:
             return "0"
         num = {1: "pi", -1: "-pi"}.get(n, f"{n}*pi")
         return num if d == 1 else f"{num}/{d}"
+
+
+def _phase(n: int, d: int) -> Phase:
+    """The :class:`Phase` ``(n/d)*pi`` for ints ``n`` and ``d > 0``, skipping ``__new__``."""
+    g = math.gcd(n, d)
+    if g != 1:
+        n //= g
+        d //= g
+    n %= 2 * d
+    if n > d:
+        n -= 2 * d
+    p = object.__new__(Phase)
+    p._n = n
+    p._d = d
+    return p
 
 
 #: Largest denominator considered when rationalizing decimal QASM angles.

@@ -631,14 +631,6 @@ _QASM_NAMES = {
 }
 
 
-def _fmt_phase(p: Phase) -> str:
-    n, d = p.numerator, p.denominator
-    if n == 0:
-        return "0"
-    s = "pi" if n == 1 else ("-pi" if n == -1 else f"{n}*pi")
-    return s if d == 1 else f"{s}/{d}"
-
-
 def write_qasm(c: Circuit) -> str:
     """Serialize a circuit; NCP/NCZ gates use opaque ncp<m>/ncz<m> gates."""
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";']
@@ -664,7 +656,7 @@ def write_qasm(c: Circuit) -> str:
         if g.kind in _QASM_NAMES:
             lines.append(f"{_QASM_NAMES[g.kind]} {qs};")
         elif g.kind in ("Rx", "Ry", "Rz"):
-            lines.append(f"{g.kind.lower()}({_fmt_phase(g.angle)}) {qs};")
+            lines.append(f"{g.kind.lower()}({g.angle}) {qs};")
         elif g.kind == "CX":
             lines.append(f"cx {qs};")
         elif g.kind == "CZ":
@@ -673,9 +665,9 @@ def write_qasm(c: Circuit) -> str:
             lines.append(f"swap {qs};")
         elif g.kind == "NCP":
             if len(g.qubits) == 2:
-                lines.append(f"cp({_fmt_phase(g.angle)}) {qs};")
+                lines.append(f"cp({g.angle}) {qs};")
             else:
-                lines.append(f"ncp{len(g.qubits)}({_fmt_phase(g.angle)}) {qs};")
+                lines.append(f"ncp{len(g.qubits)}({g.angle}) {qs};")
         elif g.kind == "NCZ":
             if len(g.qubits) == 3:
                 lines.append(f"ccz {qs};")

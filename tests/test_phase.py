@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from zxna import Phase
@@ -80,3 +81,81 @@ def test_rationalize_failure_names_literal():
     bad = math.pi * (1 / ((1 << 20) * 3 + 1))
     with pytest.raises(ValueError, match="tricky"):
         rationalize_angle(bad, literal="tricky")
+
+
+# Reference check of the int-pair representation against Fraction
+GRID_DENOMINATORS = (1, 2, 3, 4, 8, 1 << 20)
+
+
+def _reference(f: Fraction) -> Fraction:
+    """The value a Phase of ``f*pi`` must hold: ``f % 2`` mapped into (-1, 1]."""
+    r = Fraction(f) % 2
+    return r - 2 if r > 1 else r
+
+
+def _grid():
+    """Seeded (numerator, denominator) pairs, denominators of both signs."""
+    rng = random.Random(20)
+    pairs = []
+    for d in GRID_DENOMINATORS:
+        edges = [0, 1, -1, d - 1, d, d + 1, -d, 2 * d, -2 * d, 3 * d + 1]
+        randoms = [rng.randint(-6 * d, 6 * d) for _ in range(6)]
+        randoms += [rng.randint(-(10**15), 10**15) for _ in range(2)]
+        for n in edges + randoms:
+            pairs += [(n, d), (n, -d)]
+    return pairs
+
+
+def _check(p: Phase, expected: Fraction):
+    n, d = p.numerator, p.denominator
+    assert type(n) is int and type(d) is int
+    assert (n, d) == (expected.numerator, expected.denominator)
+    assert d > 0 and math.gcd(n, d) == 1 and -1 < Fraction(n, d) <= 1
+    assert p.frac == expected
+    assert p == Phase(expected) and hash(p) == hash(Phase(expected))
+    assert hash(p) == hash(("Phase", p.frac))
+    assert p.is_zero() == (n == 0)
+    assert p.is_pauli() == (d == 1)
+    assert p.is_clifford() == (d in (1, 2))
+    assert p.is_proper_clifford() == (d == 2)
+    assert p.to_float() == float(expected) * math.pi
+    assert repr(p) == f"Phase({n}, {d})"
+    if n == 0:
+        assert str(p) == "0"
+    else:
+        coef = "pi" if n == 1 else "-pi" if n == -1 else f"{n}*pi"
+        assert str(p) == (coef if d == 1 else f"{coef}/{d}")
+
+
+def test_reference_construction():
+    for n, d in _grid():
+        expected = _reference(Fraction(n, d))
+        _check(Phase(n, d), expected)
+        _check(Phase(Fraction(n, d)), expected)
+        _check(Phase(Fraction(n), d), expected)
+        _check(Phase(np.int64(n), np.int64(d)), expected)
+
+
+def test_reference_arithmetic():
+    rng = random.Random(21)
+    phases = [Phase(n, d) for n, d in _grid()]
+    for _ in range(600):
+        a, b = rng.choice(phases), rng.choice(phases)
+        fa, fb = a.frac, b.frac
+        _check(a + b, _reference(fa + fb))
+        _check(a - b, _reference(fa - fb))
+        _check(-a, _reference(-fa))
+        assert (a == b) == (fa == fb)
+        k = rng.choice([0, 1, -1, 2, -3, 7, 1 << 40, -(1 << 61) - 1])
+        _check(a * k, _reference(fa * k))
+        _check(k * a, _reference(fa * k))
+        j = rng.choice([0, 1, 2, 5, 20])
+        _check(a.div_pow2(j), _reference(fa / (1 << j)))
+    assert Phase(1, 2) != "pi/2"
+
+
+def test_zero_denominator_raises():
+    with pytest.raises(ZeroDivisionError):
+        Phase(1, 0)
+    with pytest.raises(ZeroDivisionError):
+        Phase(np.int64(1), np.int64(0))
