@@ -94,6 +94,8 @@ class Schedule:
 
 def _norm_angle(x: float) -> float:
     """Wrap into (-pi, pi]."""
+    if -3.1415 < x <= math.pi:
+        return x  # remainder() is exact here and the -pi snaps below cannot fire
     y = math.remainder(x, 2 * math.pi)
     if y <= -math.pi + _EPS / 2 and not math.isclose(y, math.pi):
         y += 2 * math.pi
@@ -163,15 +165,15 @@ def layerize(c: Circuit) -> list:
         for q in op.qubits:
             avail[q] = i + 1
 
+    h = gate_matrix(Gate("H", (0,)))
     for g in c.gates:
         if g.kind == "CX":
             ctl, tgt = g.qubits
-            put_1q(tgt, gate_matrix(Gate("H", (0,))))
+            put_1q(tgt, h)
             put_mq(Ncp((ctl, tgt), math.pi))
-            put_1q(tgt, gate_matrix(Gate("H", (0,))))
+            put_1q(tgt, h)
         elif g.kind == "Swap":
             for a, b in ((g.qubits), (g.qubits[::-1]), (g.qubits)):
-                h = gate_matrix(Gate("H", (0,)))
                 put_1q(b, h)
                 put_mq(Ncp((a, b), math.pi))
                 put_1q(b, h)
@@ -187,24 +189,20 @@ def layerize(c: Circuit) -> list:
     return layers
 
 
-def greedy_assign(layers: list, max_passes: int = 20) -> list:
-    """Reassign movable single-qubit unitaries to cheaper layers in place.
+def _euler_layers(layers: list) -> list:
+    """Euler triple of every unitary of the single-qubit layers; None for the others."""
+    return [{q: zyz_angles(u) for q, u in lay.items()} if i % 2 == 0 else None
+            for i, lay in enumerate(layers)]
 
-    A unitary may move to an empty slot of another single-qubit layer if no
-    multi-qubit gate (and no other gate of its qubit) lies in between.  A
-    move is taken only when it strictly decreases the summed theta_max, so
-    the total is monotonically non-increasing and the circuit unitary is
-    unchanged.
-    """
-    # Euler theta of each unitary, computed once; it moves with its unitary
-    thetas = [{q: zyz_angles(u)[1] for q, u in lay.items()} if i % 2 == 0 else None
-              for i, lay in enumerate(layers)]
+
+def _reassign(layers: list, eulers: list, max_passes: int = 20) -> None:
+    """Core of ``greedy_assign``: every move carries a unitary and its triple together."""
     for _ in range(max_passes):
         moved = False
         for i in range(0, len(layers), 2):
             for q in sorted(layers[i]):
-                tq = thetas[i][q]
-                others = max((t for p, t in thetas[i].items() if p != q), default=0.0)
+                tq = eulers[i][q][1]
+                others = max((e[1] for p, e in eulers[i].items() if p != q), default=0.0)
                 if tq <= others + _EPS:
                     continue  # not the critical gate of its layer
                 best_j, best_delta = None, -_EPS
@@ -215,7 +213,7 @@ def greedy_assign(layers: list, max_passes: int = 20) -> list:
                         if any(q in op.qubits for op in mid):
                             break
                         if q not in layers[j]:
-                            tj = max(thetas[j].values(), default=0.0)
+                            tj = max((e[1] for e in eulers[j].values()), default=0.0)
                             delta = (others - tq) + (max(tj, tq) - tj)
                             if delta < best_delta:
                                 best_j, best_delta = j, delta
@@ -224,23 +222,33 @@ def greedy_assign(layers: list, max_passes: int = 20) -> list:
                         j += step
                 if best_j is not None:
                     layers[best_j][q] = layers[i].pop(q)
-                    thetas[best_j][q] = thetas[i].pop(q)
+                    eulers[best_j][q] = eulers[i].pop(q)
                     moved = True
         if not moved:
             break
+
+
+def greedy_assign(layers: list, max_passes: int = 20) -> list:
+    """Reassign movable single-qubit unitaries to cheaper layers in place.
+
+    A unitary may move to an empty slot of another single-qubit layer if no
+    multi-qubit gate (and no other gate of its qubit) lies in between.  A
+    move is taken only when it strictly decreases the summed theta_max, so
+    the total is monotonically non-increasing and the circuit unitary is
+    unchanged.  This computes the Euler triples of ``layers`` itself and
+    drops them afterwards; ``schedule`` computes them once and keeps them
+    for the decomposition.
+    """
+    _reassign(layers, _euler_layers(layers), max_passes)
     return layers
 
 
-def transversal_decompose(layer: dict, num_qubits: int) -> list[NativeOp]:
-    """Two global half-pulses with local Z-corrections realizing a 1q layer.
+def _decompose(eulers: dict, num_qubits: int, mids: dict) -> list[NativeOp]:
+    """Core of ``transversal_decompose`` on the layer's Euler triples.
 
-    With per-qubit Euler angles (beta, theta, alpha) and the layer maximum
-    theta_max, each qubit gets Rz(c) GR(theta_max/2) Rz(b) GR(theta_max/2)
-    Rz(a) where sin(theta/2) = sin(theta_max/2) cos(b/2); qubits without a
-    gate take b = pi so the two half-pulses cancel.  If theta_max is zero
-    the layer collapses to a single Rz layer.
+    ``mids`` memoizes the outer Euler angles (nu, mu) of each middle pulse
+    Ry(half) Rz(b) Ry(half) on (half, b); the caller decides its lifetime.
     """
-    eulers = {q: zyz_angles(u) for q, u in layer.items()}
     tmax = max((t for _, t, _ in eulers.values()), default=0.0)
     if tmax < 1e-12:
         angles = {}
@@ -250,19 +258,22 @@ def transversal_decompose(layer: dict, num_qubits: int) -> list[NativeOp]:
                 angles[q] = a
         return [RzLayer(angles)] if angles else []
     half = tmax / 2.0
+
+    def corrections(beta: float, theta: float, alpha: float) -> tuple[float, float, float]:
+        ratio = math.sin(theta / 2.0) / math.sin(half)
+        b = 2.0 * math.acos(min(1.0, max(0.0, ratio)))
+        if (half, b) not in mids:
+            nu, _, mu = zyz_angles(_ry(half) @ _rz(b) @ _ry(half))
+            mids[half, b] = nu, mu
+        nu, mu = mids[half, b]
+        return _norm_angle(beta - nu), b, _norm_angle(alpha - mu)
+
+    idle = corrections(0.0, 0.0, 0.0) if len(eulers) < num_qubits else None  # b = pi
     pre: dict[int, float] = {}
     mid: dict[int, float] = {}
     post: dict[int, float] = {}
-    mid_eulers: dict[float, tuple] = {}  # per distinct b; every idle qubit has b = pi
     for q in range(num_qubits):
-        beta, theta, alpha = eulers.get(q, (0.0, 0.0, 0.0))
-        ratio = math.sin(theta / 2.0) / math.sin(half)
-        b = 2.0 * math.acos(min(1.0, max(0.0, ratio)))
-        if b not in mid_eulers:
-            mid_eulers[b] = zyz_angles(_ry(half) @ _rz(b) @ _ry(half))
-        nu, _, mu = mid_eulers[b]
-        a = _norm_angle(beta - nu)
-        cc = _norm_angle(alpha - mu)
+        a, b, cc = corrections(*eulers[q]) if q in eulers else idle
         if abs(a) > _EPS:
             pre[q] = a
         if abs(b) > _EPS:
@@ -281,6 +292,20 @@ def transversal_decompose(layer: dict, num_qubits: int) -> list[NativeOp]:
     return ops
 
 
+def transversal_decompose(layer: dict, num_qubits: int) -> list[NativeOp]:
+    """Two global half-pulses with local Z-corrections realizing a 1q layer.
+
+    With per-qubit Euler angles (beta, theta, alpha) and the layer maximum
+    theta_max, each qubit gets Rz(c) GR(theta_max/2) Rz(b) GR(theta_max/2)
+    Rz(a) where sin(theta/2) = sin(theta_max/2) cos(b/2); qubits without a
+    gate take b = pi so the two half-pulses cancel.  If theta_max is zero
+    the layer collapses to a single Rz layer.  This computes the Euler
+    triples of ``layer`` itself; ``schedule`` passes in the triples it
+    computed once per unitary.
+    """
+    return _decompose({q: zyz_angles(u) for q, u in layer.items()}, num_qubits, {})
+
+
 def execution_time(ops, config: TimeConfig = TimeConfig()) -> float:
     """Linear-in-angle time model; Rz layers parallel, NCP gates sequential."""
     t = 0.0
@@ -297,14 +322,21 @@ def execution_time(ops, config: TimeConfig = TimeConfig()) -> float:
 
 
 def schedule(c: Circuit, config: TimeConfig = TimeConfig()) -> Schedule:
-    """Full lowering: layerize, reassign, decompose, and time the circuit."""
-    layers = greedy_assign(layerize(c))
+    """Full lowering: layerize, reassign, decompose, and time the circuit.
+
+    The same steps as ``layerize``, ``greedy_assign`` and
+    ``transversal_decompose``, but the Euler triple of each layer unitary
+    is computed once, right after ``layerize``, and moves with its unitary
+    through the reassignment into the decomposition.  Middle-pulse angles
+    are memoized for this one call.
+    """
+    layers = layerize(c)
+    eulers = _euler_layers(layers)
+    _reassign(layers, eulers)
+    mids: dict = {}
     ops: list[NativeOp] = []
     for i, lay in enumerate(layers):
-        if i % 2 == 0:
-            ops.extend(transversal_decompose(lay, c.num_qubits))
-        else:
-            ops.extend(lay)
+        ops.extend(_decompose(eulers[i], c.num_qubits, mids) if i % 2 == 0 else lay)
     return Schedule(tuple(ops), execution_time(ops, config))
 
 

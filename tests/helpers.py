@@ -11,7 +11,6 @@ import numpy as np
 from zxna import Circuit, Gate, Phase
 from zxna.backend import GR, Ncp, RzLayer
 from zxna.gflow import LabeledOpenGraph, odd_neighborhood
-from zxna.oracle import apply_gate
 
 #: gate alphabet of the round-trip corpus
 CORPUS_KINDS = ("H", "S", "T", "Rz", "Rx", "CX", "CZ", "CCZ", "CP")
@@ -99,23 +98,37 @@ def rz_matrix(a: float) -> np.ndarray:
 
 
 def native_unitary(ops, n: int) -> np.ndarray:
-    """Dense unitary of a native-op sequence (GR / RzLayer / Ncp)."""
+    """Dense unitary of a native-op sequence (GR / RzLayer / Ncp).
+
+    Rz layers and NCP gates are diagonal, so they are collected in one phase
+    vector that scales the rows before the next GR pulse and at the end.  A
+    pulse applies Ry(theta) to every qubit, two qubits per product with the
+    real 4x4 matrix Ry (x) Ry (the factors are equal, so their order does
+    not matter), acting on the real and imaginary parts alike.
+    """
     u = np.eye(1 << n, dtype=complex)
+    bits = np.arange(1 << n)
+    diag = np.ones(1 << n, dtype=complex)
     for op in ops:
         if isinstance(op, GR):
-            m = ry_matrix(op.theta)
-            for q in range(n):
-                u = apply_gate(u, m, (q,), n)
+            u *= diag[:, None]
+            diag[:] = 1
+            ry = ry_matrix(op.theta).real
+            r = u.view(np.float64)
+            for q in range(0, n, 2):
+                k = min(2, n - q)
+                m = np.kron(ry, ry) if k == 2 else ry
+                r = np.matmul(m, r.reshape(1 << (n - q - k), 1 << k, -1))
+            u = r.reshape(1 << n, -1).view(np.complex128)
         elif isinstance(op, RzLayer):
             for q, a in op.angles.items():
-                u = apply_gate(u, rz_matrix(a), (q,), n)
+                diag *= np.where((bits >> q) & 1, cmath.exp(0.5j * a), cmath.exp(-0.5j * a))
         elif isinstance(op, Ncp):
-            d = np.ones(1 << len(op.qubits), dtype=complex)
-            d[-1] = cmath.exp(1j * op.phi)
-            u = apply_gate(u, np.diag(d), op.qubits, n)
+            mask = sum(1 << q for q in op.qubits)
+            diag[(bits & mask) == mask] *= cmath.exp(1j * op.phi)
         else:
             raise TypeError(f"unknown native op {op!r}")
-    return u
+    return u * diag[:, None]
 
 
 def random_su2(rng: random.Random) -> np.ndarray:

@@ -4,12 +4,19 @@ import random
 import numpy as np
 import pytest
 
-from helpers import native_unitary, rand_rich_circuit, random_su2, ry_matrix, rz_matrix
+from helpers import native_unitary, qft_circuit, rand_rich_circuit, random_su2, ry_matrix, rz_matrix
 from zxna import Circuit, Gate, Phase, Schedule, TimeConfig, circuit_unitary, equal_up_to_scalar, schedule
+from zxna import backend
 from zxna.backend import (
     GR,
     Ncp,
     RzLayer,
+    _decompose,
+    _euler_layers,
+    _norm_angle,
+    _reassign,
+    _ry,
+    _rz,
     execution_time,
     greedy_assign,
     layerize,
@@ -130,6 +137,112 @@ def test_greedy_assign_monotone_and_sound():
         assert total(out) <= before + 1e-9
         sched = schedule(c)
         assert equal_up_to_scalar(native_unitary(sched.ops, c.num_qubits), circuit_unitary(c), 1e-8)
+
+
+def test_schedule_equals_public_steps_exactly():
+    # schedule() reuses one Euler triple per unitary and a per-call memo;
+    # the public functions recompute everything, and the ops must match bit for bit
+    for seed in range(60):
+        c = rand_rich_circuit(seed)
+        layers = greedy_assign(layerize(c))
+        ops = []
+        for i, lay in enumerate(layers):
+            ops.extend(transversal_decompose(lay, c.num_qubits) if i % 2 == 0 else lay)
+        assert schedule(c).ops == tuple(ops)
+
+
+def test_reassign_moves_each_triple_with_its_unitary():
+    moved = 0
+    for seed in range(60):
+        c = rand_rich_circuit(seed)
+        layers = layerize(c)
+        eulers = _euler_layers(layers)
+        _reassign(layers, eulers)
+        moved += [set(lay) for lay in layers[::2]] != [set(lay) for lay in layerize(c)[::2]]
+        for i, lay in enumerate(layers):
+            if i % 2 == 0:
+                assert eulers[i] == {q: zyz_angles(u) for q, u in lay.items()}
+            else:
+                assert eulers[i] is None
+    assert moved > 0  # the corpus exercises the moves
+
+
+def _norm_angle_reference(x: float) -> float:
+    y = math.remainder(x, 2 * math.pi)
+    if y <= -math.pi + 1e-12 / 2 and not math.isclose(y, math.pi):
+        y += 2 * math.pi
+    if math.isclose(y, -math.pi, abs_tol=1e-15):
+        y = math.pi
+    return y
+
+
+def test_norm_angle_matches_reference_bitwise():
+    xs = [0.0, -0.0, math.pi, -math.pi, -math.pi + 1e-10, -math.pi + 1e-6, 3.1415, -3.1415,
+          3 * math.pi, -3 * math.pi, 2 * math.pi - 1e-12, 1e6]
+    rng = random.Random(5)
+    xs += [rng.uniform(-20.0, 20.0) for _ in range(20000)]
+    for x in xs:
+        assert _norm_angle(x).hex() == _norm_angle_reference(x).hex(), x
+    assert _norm_angle(-math.pi + 1e-10) == math.pi
+
+
+def _decompose_reference(layer: dict, num_qubits: int) -> list:
+    """Layer decomposition with every middle pulse recomputed per qubit."""
+    eulers = {q: zyz_angles(u) for q, u in layer.items()}
+    tmax = max((t for _, t, _ in eulers.values()), default=0.0)
+    half = tmax / 2.0
+    pre, mid, post = {}, {}, {}
+    for q in range(num_qubits):
+        beta, theta, alpha = eulers.get(q, (0.0, 0.0, 0.0))
+        ratio = math.sin(theta / 2.0) / math.sin(half)
+        b = 2.0 * math.acos(min(1.0, max(0.0, ratio)))
+        nu, _, mu = zyz_angles(_ry(half) @ _rz(b) @ _ry(half))
+        a, cc = _norm_angle_reference(beta - nu), _norm_angle_reference(alpha - mu)
+        if abs(a) > 1e-12:
+            pre[q] = a
+        if abs(b) > 1e-12:
+            mid[q] = _norm_angle_reference(b)
+        if abs(cc) > 1e-12:
+            post[q] = cc
+    ops = [RzLayer(pre)] if pre else []
+    ops += [GR(half), RzLayer(mid), GR(half)] if mid else [GR(half), GR(half)]
+    return ops + ([RzLayer(post)] if post else [])
+
+
+def test_middle_pulse_memo_matches_recomputation(monkeypatch):
+    # qubits 1 and 4 share the layer's largest theta, qubit 2 has a smaller
+    # one, and qubits 0, 3, 5 and 6 are idle (b = pi)
+    layers = [
+        {1: rz_matrix(-1.3) @ ry_matrix(1.1), 4: ry_matrix(1.1) @ rz_matrix(2.0),
+         2: rz_matrix(-2.5) @ ry_matrix(0.6)},
+        {3: ry_matrix(1.1), 6: rz_matrix(0.9) @ ry_matrix(0.2)},  # same half as the first layer
+        {0: ry_matrix(-0.8)},
+    ]
+    assert len({zyz_angles(u)[1] for u in (*layers[0].values(), layers[1][3])}) == 2
+    mids: dict = {}
+    for layer in layers:
+        got = _decompose({q: zyz_angles(u) for q, u in layer.items()}, 7, mids)
+        assert got == _decompose_reference(layer, 7)
+        assert got == transversal_decompose(layer, 7)
+    # one entry per distinct (half, b): b = 0, pi and two smaller-theta b values
+    assert len({half for half, _ in mids}) == 2 and len(mids) == 6
+
+    calls = []
+
+    def counting_zyz(u):
+        calls.append(1)
+        return zyz_angles(u)
+
+    monkeypatch.setattr(backend, "zyz_angles", counting_zyz)
+    c = qft_circuit(5)
+    per_call = []
+    for _ in range(3):
+        calls.clear()
+        schedule(c)
+        per_call.append(len(calls))
+    # a memo outliving one schedule() call would make later calls cheaper
+    assert per_call[0] == per_call[1] == per_call[2]
+    assert not [k for k, v in vars(backend).items() if isinstance(v, dict) and not k.startswith("__")]
 
 
 def test_execution_time_units():
