@@ -146,12 +146,12 @@ class _Extractor:
     def execute_plan(self, plan: MatchPlan) -> None:
         d = self.d
         for legs, p in plan.insertions:
-            if self.mode.debug:
-                self._checked_insertion(legs, p, plan)
-            else:
-                kept, residual = insert_identity_pair(d, legs, p)
-                plan.matched[legs] = kept
-                self.no_extend.add(residual.top)
+            f = self._gflow_before_insertion() if self.mode.debug else None
+            kept, residual = insert_identity_pair(d, legs, p)
+            plan.matched[legs] = kept
+            self.no_extend.add(residual.top)
+            if f is not None:
+                self._check_insertion(f, legs, (kept, residual))
         for gadget, p in plan.splits:
             split_gadget(d, gadget, p)
         # consume anchors: emit the residue over alpha as Rz
@@ -166,18 +166,18 @@ class _Extractor:
             d.remove_spider(g.root)
         self.rev.append(Gate("NCP", qubits, plan.phi))
 
-    def _checked_insertion(self, legs, p, plan) -> None:
-        graph = labeled_graph_of(self.d)
-        f = find_gflow(graph)
+    def _gflow_before_insertion(self):
+        f = find_gflow(labeled_graph_of(self.d))
         if f is None:
             raise ExtractionError("lost gflow before insertion", self.d)
-        kept, residual = insert_identity_pair(self.d, legs, p)
-        plan.matched[legs] = kept
-        self.no_extend.add(residual.top)
-        for g in (kept, residual):
-            graph2 = labeled_graph_of(self.d)
-            f = extend_gflow_insertion(graph2, f, g.root, set(legs))
-        if not verify_gflow(labeled_graph_of(self.d), f):
+        return f
+
+    def _check_insertion(self, f, legs, gadgets) -> None:
+        """Debug mode: extend the pre-insertion gflow over the new gadgets and verify it."""
+        graph = labeled_graph_of(self.d)
+        for g in gadgets:
+            f = extend_gflow_insertion(graph, f, g.root, set(legs))
+        if not verify_gflow(graph, f):
             raise ExtractionError("gflow extension failed verification", self.d)
 
     def advance_hadamard(self) -> bool:

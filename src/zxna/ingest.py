@@ -10,7 +10,7 @@ multi-controlled phases splice in their gadget structure directly.
 
 from __future__ import annotations
 
-from .circuit import Circuit, Gate
+from .circuit import PHASE_GATE_ANGLES, Circuit, Gate
 from .cnp import instantiate_template, theorem1_template
 from .diagram import ZxDiagram
 from .phase import Phase
@@ -81,16 +81,8 @@ def _ingest_gate(b: _Builder, g: Gate) -> None:
         b.h(g.qubits[0])
     elif k == "Rz":
         b.rz(g.qubits[0], g.angle)
-    elif k == "Z":
-        b.rz(g.qubits[0], Phase(1))
-    elif k == "S":
-        b.rz(g.qubits[0], Phase(1, 2))
-    elif k == "Sdg":
-        b.rz(g.qubits[0], Phase(-1, 2))
-    elif k == "T":
-        b.rz(g.qubits[0], Phase(1, 4))
-    elif k == "Tdg":
-        b.rz(g.qubits[0], Phase(-1, 4))
+    elif k in PHASE_GATE_ANGLES:
+        b.rz(g.qubits[0], PHASE_GATE_ANGLES[k])
     elif k == "Rx":
         b.rx(g.qubits[0], g.angle)
     elif k == "X":

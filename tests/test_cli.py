@@ -85,6 +85,15 @@ def test_run_error_exit_code(tmp_path, capsys):
     assert "error" in rep and "frobnicate" in rep["error"]
 
 
+def test_run_truncated_file(tmp_path, capsys):
+    f = tmp_path / "truncated.qasm"
+    f.write_text("OPENQASM 2.0;\nqreg q[1];\nrz(")
+    rc = main(["run", str(f)])
+    assert rc == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert "unexpected end of input" in rep["error"]
+
+
 def test_run_time_config(qasm_file, tmp_path, capsys):
     cfg = tmp_path / "times.json"
     cfg.write_text(json.dumps({"gr": 1.0}))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -164,6 +165,53 @@ def test_error_positions():
         parse_qasm("creg c[1];")
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["qreg q[1]; gate foo(a", "qreg q[1]; opaque ncp3", "qreg q[1]; rz(", "qreg q[1]; h q[0]; barrier q"],
+)
+def test_truncated_input(text):
+    with pytest.raises(QasmError, match="unexpected end of input") as e:
+        parse_qasm(text)
+    assert (e.value.line, e.value.col) == (1, len(text) + 1)
+
+
+def test_unclosed_parenthesis_stops_at_semicolon():
+    with pytest.raises(QasmError, match="expected '\\)'") as e:
+        parse_qasm("qreg q[2];\nrz(pi/2 q[0];\nh q[1];")
+    assert (e.value.line, e.value.col) == (2, 13)
+
+
+def test_measure_qubit_out_of_range():
+    with pytest.raises(QasmError, match="index 5 out of range for 'q'") as e:
+        parse_qasm("qreg q[2]; creg c[2]; measure q[5] -> c[0];")
+    assert (e.value.line, e.value.col) == (1, 23)
+
+
+def test_measure_bit_out_of_range():
+    with pytest.raises(QasmError, match="index 3 out of range for 'c'") as e:
+        parse_qasm("qreg q[2]; creg c[1]; measure q[0] -> c[3];")
+    assert (e.value.line, e.value.col) == (1, 23)
+
+
+def test_measure_register_sizes_differ():
+    with pytest.raises(QasmError, match="mismatched register lengths") as e:
+        parse_qasm("qreg q[3]; creg c[2];\nmeasure q -> c;")
+    assert (e.value.line, e.value.col) == (2, 1)
+
+
+def test_gate_body_calls_itself():
+    with pytest.raises(QasmError, match="gate 'g' calls itself") as e:
+        parse_qasm("qreg q[1];\ngate g a { h a; g a; }\ng q[0];")
+    assert (e.value.line, e.value.col) == (2, 17)
+
+
+def test_gate_body_calls_later_gate():
+    text = "qreg q[1]; gate f a { g a; } gate g a { f a; } f q[0];"
+    with pytest.raises(QasmError, match="gate 'f' calls undefined gate 'g'") as e:
+        parse_qasm(text)
+    assert (e.value.line, e.value.col) == (1, 23)
+
+
 def test_roundtrip_random_circuits():
     rng = random.Random(0)
     for seed in range(60):
@@ -188,3 +236,52 @@ def test_roundtrip_measurements():
     c = Circuit(2, (Gate("H", (0,)),), ((0, 0), (1, 1)))
     back = parse_qasm(write_qasm(c))
     assert back.measurements == c.measurements
+
+
+_DIGEST_PROGRAMS = [
+    """OPENQASM 2.0;
+include "qelib1.inc";
+// parameterised definition with nested parentheses in its body
+gate rot(a, b) x, y { rz((a + b) / 2) x; cp(-(a - (b * 2))) x, y; ry(a) y; }
+qreg q[3];
+rot(pi/3, pi/(2*3)) q[0], q[2];
+rot(pi, -pi/4) q[2], q[1];
+""",
+    "qreg q[2]; u1(pi/8) q[0]; u2(pi/4, -pi/2) q[1]; u3(pi/2, pi/3, pi/5) q[0];\n"
+    "u(pi, 0, pi) q[1]; U(0, 0, pi/7) q[0]; p(3*pi/4) q[1]; cu1(pi/16) q[0], q[1];\n",
+    "qreg q[2]; id q[0]; u0 q[1]; h q[0]; id q; x q[1];\n",
+    "qreg q[3]; ccx q[0], q[1], q[2]; swap q[2], q[0]; ccz q[1], q[2], q[0];\n",
+    "qreg a[3]; qreg b[3]; cx a, b; cz b, a; cp(pi/4) a, b[1]; h a; t b;\n",
+    "qreg q[3];\nh q[0]; // comment after a gate\nbarrier q;\n// whole-line comment\n"
+    "barrier q[0], q[2];\ncx q[0], q[1];\n",
+    f"qreg q[2]; rz({math.pi / 4:.17g}) q[0]; rx(0.5 * pi) q[1]; ry(1.5707963267948966) q[0];\n"
+    "rz(.25 * pi) q[1]; rz(2.5e-1 * pi) q[0];\n",
+    """qreg q[5];
+opaque ncp3(theta) a, b, c;
+opaque ncz4 a, b, c, d;
+opaque mcphase(theta) a, b;
+ncp3(pi/4) q[0], q[1], q[3];
+ncz4 q[4], q[1], q[2], q[3];
+ncp5(-3*pi/8) q[0], q[1], q[2], q[3], q[4];
+mcphase(pi/2) q[1], q[0];
+""",
+    "qreg q[3]; creg c[3]; h q[0]; cx q[0], q[1]; measure q[0] -> c[2]; measure q[1] -> c[0];\n",
+    "qreg q[2]; creg c[2]; s q; sdg q[1]; tdg q[0]; y q; measure q -> c;\n",
+    """qreg q[4];
+gate inner(t) a { rz(t) a; h a; }
+gate outer(t) a, b { inner(2*t) a; barrier a, b; cx a, b; inner(t/2) b; }
+outer(pi/4) q[0], q[3];
+outer(pi/8) q[2], q[1];
+""",
+    "qreg q[2]; qreg r[2]; gate bell a, b { h a; cx a, b; } bell q, r; swap q, r;\n",
+]
+
+
+def test_parse_digest():
+    """Pin what the reader builds from a fixed corpus of written and hand-made programs."""
+    texts = [write_qasm(rand_rich_circuit(seed, 8, 60)) for seed in range(200)] + _DIGEST_PROGRAMS
+    h = hashlib.sha256()
+    for text in texts:
+        c = parse_qasm(text)
+        h.update(repr((c.num_qubits, c.gates, c.measurements)).encode())
+    assert h.hexdigest() == "20e7a00bff34e6129c1b4014770d2a07e287cd209d5946d250acd4da57797d31"
