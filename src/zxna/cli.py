@@ -14,6 +14,7 @@ import io
 import json
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 from typing import Optional
 
@@ -26,16 +27,28 @@ VERIFY_MAX_QUBITS = 10
 
 
 def _load_time_config(path: Optional[str]) -> TimeConfig:
+    """Durations from a JSON object with keys among TimeConfig's fields; ValueError otherwise."""
     if path is None:
         return TimeConfig()
-    data = json.loads(Path(path).read_text())
-    base = TimeConfig()
-    return TimeConfig(
-        rz=data.get("rz", base.rz),
-        gr=data.get("gr", base.gr),
-        cp=data.get("cp", base.cp),
-        ncp=data.get("ncp", base.ncp),
-    )
+    try:
+        data = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as e:
+        raise ValueError(f"cannot read time config {path}: {e}") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"time config {path} must be a JSON object")
+    names = [f.name for f in fields(TimeConfig)]
+    for k, v in data.items():
+        if k not in names:
+            raise ValueError(f"unknown time config key {k!r} (expected {', '.join(names)})")
+        if type(v) not in (int, float) or not 0 <= v <= sys.float_info.max:
+            raise ValueError(f"time config {k!r} must be a finite non-negative number, got {v!r}")
+    return TimeConfig(**data)
+
+
+def _error(rep: dict) -> int:
+    json.dump(rep, sys.stdout)
+    sys.stdout.write("\n")
+    return 1
 
 
 def _report(file: str, pipeline: str, sched: Schedule, runtime_s: float, verified) -> dict:
@@ -137,15 +150,16 @@ def main(argv=None) -> int:
     suitep.add_argument("--time-config", metavar="PATH")
 
     args = ap.parse_args(argv)
-    time_config = _load_time_config(args.time_config)
+    try:
+        time_config = _load_time_config(args.time_config)
+    except ValueError as e:
+        return _error({"error": str(e)})
 
     if args.cmd == "run":
         try:
             rep = _run_one(Path(args.file), args.pipeline, args, time_config)
         except (QasmError, ValueError, RuntimeError) as e:
-            json.dump({"file": args.file, "pipeline": args.pipeline, "error": str(e)}, sys.stdout)
-            sys.stdout.write("\n")
-            return 1
+            return _error({"file": args.file, "pipeline": args.pipeline, "error": str(e)})
         _emit([rep], args.format, sys.stdout)
         return 0
 

@@ -4,9 +4,11 @@ An m-qubit controlled phase ``NCP(m, phi)`` is equivalent to a graph-like
 diagram where each of the m anchor spiders carries ``alpha = phi / 2^(m-1)``
 and every subset of anchors of size k >= 2 carries a phase gadget with
 phase ``(-1)^(k+1) * alpha``.  This module generates those structures,
-pattern-matches them on a frontier (optionally completing partial matches
-by inserting opposite-phase gadget pairs), and provides the combinatorial
-oracles used to cross-check the construction.
+pattern-matches them on a frontier, and provides the combinatorial oracles
+used to cross-check the construction.  A match may need a gadget's phase
+split (the NCP takes the required phase, a gadget on the same legs keeps
+the rest) or, in ``with-insert`` mode, a missing gadget inserted (the NCP
+takes the required phase, a gadget with the opposite phase stays behind).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Literal, Optional
+from typing import Iterator, Literal, Optional
 
 from .diagram import GadgetView, ZxDiagram
 from .phase import Phase
@@ -25,9 +27,6 @@ __all__ = [
     "theorem1_template",
     "instantiate_template",
     "match_cnp",
-    "split_gadget",
-    "split_output_phase",
-    "insert_identity_pair",
     "lemma2_sum",
     "phase_accumulation",
 ]
@@ -57,27 +56,20 @@ class CnpTemplate:
         return self.alpha * (1 << (self.n - 1))
 
 
+def _required(anchors, alpha: Phase) -> Iterator[tuple[tuple, Phase]]:
+    """Theorem 1's gadgets: each anchor subset of size k >= 2 with ``(-1)^(k+1) * alpha``."""
+    for k in range(2, len(anchors) + 1):
+        p = alpha if k % 2 == 1 else -alpha
+        for subset in combinations(anchors, k):
+            yield subset, p
+
+
 def theorem1_template(n: int, phi: Phase) -> CnpTemplate:
     """Gadget structure of the n-qubit controlled phase gate with phase phi."""
     if n < 2:
         raise ValueError("controlled phase structure needs n >= 2")
     alpha = phi.div_pow2(n - 1)
-    required = []
-    for k in range(2, n + 1):
-        p = alpha if k % 2 == 1 else -alpha
-        for s in combinations(range(n), k):
-            required.append((s, p))
-    assert len(required) == (1 << n) - n - 1
-    return CnpTemplate(n, alpha, tuple(required))
-
-
-def _add_gadget(d: ZxDiagram, legs, phase: Phase) -> tuple[int, int]:
-    root = d.add_spider(Phase(0))
-    top = d.add_spider(phase)
-    d.toggle_edge(root, top)
-    for a in legs:
-        d.toggle_edge(root, a)
-    return root, top
+    return CnpTemplate(n, alpha, tuple(_required(range(n), alpha)))
 
 
 def instantiate_template(d: ZxDiagram, t: CnpTemplate) -> None:
@@ -89,7 +81,7 @@ def instantiate_template(d: ZxDiagram, t: CnpTemplate) -> None:
         if not d.contains(a):
             raise ValueError(f"unknown anchor spider {a}")
     for subset, p in t.required:
-        _add_gadget(d, [anchors[i] for i in subset], p)
+        d.add_gadget([anchors[i] for i in subset], p)
     for a in anchors:
         d.add_phase(a, t.alpha)
 
@@ -98,14 +90,15 @@ def instantiate_template(d: ZxDiagram, t: CnpTemplate) -> None:
 class MatchPlan:
     """Executable plan turning frontier gadgets into one exact C_nP structure.
 
-    ``matched`` maps each required leg-set to the gadget that will supply it
-    (after the listed splits); ``insertions`` lists leg-sets that need a
-    fresh opposite-phase gadget pair first.
+    ``matched`` maps each present required leg-set to the gadget the NCP
+    consumes.  ``splits`` lists matched gadgets whose phase differs from the
+    required one; each leaves a gadget with the difference on its legs.
+    ``insertions`` lists missing leg-sets with their required phase; each
+    leaves a gadget with the opposite phase on those legs.
     """
 
     target_set: tuple[int, ...]
     alpha: Phase
-    seed: GadgetView
     matched: dict[frozenset[int], GadgetView] = field(default_factory=dict)
     splits: list[tuple[GadgetView, Phase]] = field(default_factory=list)
     insertions: list[tuple[frozenset[int], Phase]] = field(default_factory=list)
@@ -117,10 +110,6 @@ class MatchPlan:
     @property
     def phi(self) -> Phase:
         return self.alpha * (1 << (self.n - 1))
-
-
-def _required_phase(k: int, alpha: Phase) -> Phase:
-    return alpha if k % 2 == 1 else -alpha
 
 
 def match_cnp(
@@ -135,19 +124,16 @@ def match_cnp(
     Seeds are tried from the gadget with the most legs downwards (ties by
     smallest top id).  In ``no-insert`` mode a seed fails as soon as a
     required sub-gadget is missing; in ``with-insert`` mode the plan records
-    an identity-pair insertion instead, and the seed's anchor set may first
-    grow to nearby frontier spiders (see :func:`_extend_anchors`) unless the
-    seed's top is listed in ``no_extend``.  Callers put the leftover
-    partners of earlier insertions there, otherwise partner extraction and
-    re-extension would chase each other forever.  Returns None if no seed
-    works.
+    an insertion instead, and the seed's anchor set may first grow to nearby
+    frontier spiders (see :func:`_extend_anchors`) unless the seed's top is
+    listed in ``no_extend``.  Callers put the opposite-phase gadgets left by
+    earlier insertions there, otherwise their extraction and re-extension
+    would chase each other forever.  Returns None if no seed works.
     """
     gadgets = [g for g in d.find_gadgets() if g.legs <= frontier and len(g.legs) >= 2]
-    by_legs: dict[frozenset[int], list[GadgetView]] = {}
+    by_legs: dict[frozenset[int], GadgetView] = {}
     for g in gadgets:
-        by_legs.setdefault(g.legs, []).append(g)
-    for legs in by_legs:
-        by_legs[legs].sort(key=lambda g: g.top)
+        by_legs.setdefault(g.legs, g)
 
     seeds = [g for g in gadgets if not g.phase.is_zero()]
     if max_size is not None:
@@ -160,28 +146,22 @@ def match_cnp(
         target = set(seed.legs)
         if mode == "with-insert" and seed.top not in no_extend:
             target |= _extend_anchors(target, frontier, by_legs, max_size)
-        plan = MatchPlan(tuple(sorted(target)), alpha, seed)
+        plan = MatchPlan(tuple(sorted(target)), alpha)
         plan.matched[seed.legs] = seed
-        ok = True
-        for k in range(2, len(target) + 1):
-            p = _required_phase(k, alpha)
-            for subset in combinations(plan.target_set, k):
-                legs = frozenset(subset)
-                if legs == seed.legs:
-                    continue
-                cand = next((g for g in by_legs.get(legs, []) if g.legs not in plan.matched), None)
-                if cand is not None:
-                    plan.matched[legs] = cand
-                    if cand.phase != p:
-                        plan.splits.append((cand, p))
-                elif mode == "with-insert":
-                    plan.insertions.append((legs, p))
-                else:
-                    ok = False
-                    break
-            if not ok:
+        for subset, p in _required(plan.target_set, alpha):
+            legs = frozenset(subset)
+            if legs == seed.legs:
+                continue
+            cand = by_legs.get(legs)
+            if cand is not None:
+                plan.matched[legs] = cand
+                if cand.phase != p:
+                    plan.splits.append((cand, p))
+            elif mode == "with-insert":
+                plan.insertions.append((legs, p))
+            else:
                 break
-        if ok:
+        else:
             return plan
     return None
 
@@ -189,7 +169,7 @@ def match_cnp(
 def _extend_anchors(
     target: set[int],
     frontier: set[int],
-    by_legs: dict[frozenset[int], list[GadgetView]],
+    by_legs: dict[frozenset[int], GadgetView],
     max_size: Optional[int],
 ) -> set[int]:
     """Grow a seed's anchor set toward a larger controlled-phase target.
@@ -197,8 +177,8 @@ def _extend_anchors(
     A frontier spider joins when pair gadgets tie it to at least half the
     current anchors, so the extra structure is mostly already present and
     only a minority of gadgets has to be inserted.  The gadget spanning the
-    grown set itself is always missing and gets inserted as an identity
-    pair, whose leftover partner is extracted in a later match.
+    grown set itself is always missing and gets inserted; the
+    opposite-phase gadget that insertion leaves is extracted in a later match.
     """
     extra: set[int] = set()
     candidates = sorted(frontier - target)
@@ -217,49 +197,6 @@ def _extend_anchors(
                 progress = True
                 break
     return extra
-
-
-def split_gadget(d: ZxDiagram, gadget: GadgetView, desired: Phase) -> Optional[GadgetView]:
-    """Split a gadget into the desired phase plus a residue gadget on the same legs.
-
-    The original top keeps ``desired``; the residue carries the difference.
-    No-op (returns None) when the phase already matches.
-    """
-    if not d.contains(gadget.top) or not d.contains(gadget.root):
-        raise ValueError("stale gadget view")
-    if gadget.phase == desired:
-        return None
-    residue = gadget.phase - desired
-    d.set_phase(gadget.top, desired)
-    root, top = _add_gadget(d, sorted(gadget.legs), residue)
-    return GadgetView(top, root, gadget.legs, residue)
-
-
-def split_output_phase(d: ZxDiagram, anchor: int, desired: Phase) -> Phase:
-    """Set an anchor's phase to the desired value, returning the Rz residue."""
-    residue = d.phase(anchor) - desired
-    d.set_phase(anchor, desired)
-    return residue
-
-
-def insert_identity_pair(
-    d: ZxDiagram, legs: frozenset[int], phase: Phase
-) -> tuple[GadgetView, GadgetView]:
-    """Insert two gadgets with opposite phases on the same legs.
-
-    The pair multiplies to the identity, so the diagram tensor is unchanged.
-    Returns (kept, residual) where kept carries ``phase``.
-    """
-    frontier = set(d.outputs)
-    if not legs <= frontier:
-        raise ValueError("identity-pair legs must lie on the frontier")
-    legs_sorted = sorted(legs)
-    r1, t1 = _add_gadget(d, legs_sorted, phase)
-    r2, t2 = _add_gadget(d, legs_sorted, -phase)
-    return (
-        GadgetView(t1, r1, legs, phase),
-        GadgetView(t2, r2, legs, -phase),
-    )
 
 
 def lemma2_sum(n: int, l: int) -> int:

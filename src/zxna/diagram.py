@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterator, Sequence
 
 from .phase import Phase
 
@@ -47,6 +47,15 @@ class ZxDiagram:
         self._phases[v] = phase
         self._adj[v] = set()
         return v
+
+    def add_gadget(self, legs: Sequence[int], phase: Phase) -> GadgetView:
+        """Hang a new phase gadget on ``legs``: a root, then a top, then the leg wires in order."""
+        root = self.add_spider(Phase(0))
+        top = self.add_spider(phase)
+        self.toggle_edge(root, top)
+        for a in legs:
+            self.toggle_edge(root, a)
+        return GadgetView(top, root, frozenset(legs), phase)
 
     def remove_spider(self, v: int) -> None:
         for w in self._adj.pop(v):
@@ -153,7 +162,10 @@ class ZxDiagram:
     # -- gadget detection -------------------------------------------------
 
     def find_gadgets(self) -> list[GadgetView]:
-        """All phase gadgets: interior degree-1 tops on phase-free interior roots."""
+        """All phase gadgets: interior degree-1 tops on phase-free interior roots.
+
+        Gadgets come in ascending top id, i.e. in the order their tops were created.
+        """
         boundary = set(self.inputs) | set(self.outputs)
         out = []
         for top in self.spiders():

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Literal, Optional
 
 from .circuit import Circuit, Gate
-from .cnp import MatchPlan, insert_identity_pair, match_cnp, split_gadget, split_output_phase
+from .cnp import MatchPlan, match_cnp
 from .diagram import ZxDiagram
 from .gf2 import row_reduce
 from .gflow import extend_gflow_insertion, find_gflow, labeled_graph_of, verify_gflow
@@ -31,8 +31,8 @@ class ExtractionMode:
 
     ``default`` disables NCP extraction entirely; ``no-insert`` only matches
     structures already present; ``with-insert`` may complete partial
-    structures with identity gadget pairs.  ``max_ctrl`` caps emitted NCP
-    arity.  ``debug`` re-verifies gflow around every gadget insertion.
+    structures by inserting the missing gadgets.  ``max_ctrl`` caps emitted
+    NCP arity.  ``debug`` re-verifies gflow around every gadget insertion.
     """
 
     kind: Literal["default", "no-insert", "with-insert"] = "default"
@@ -144,24 +144,29 @@ class _Extractor:
         raise ExtractionError("controlled-phase matching did not settle", self.d)
 
     def execute_plan(self, plan: MatchPlan) -> None:
+        """Replace the plan's gadgets and anchor phases with one NCP gate.
+
+        Each insertion leaves a gadget with the opposite of the required
+        phase, each split a gadget with the surplus.  They are created in
+        plan order, insertions first: later matches order seeds by top id.
+        """
         d = self.d
         for legs, p in plan.insertions:
             f = self._gflow_before_insertion() if self.mode.debug else None
-            kept, residual = insert_identity_pair(d, legs, p)
-            plan.matched[legs] = kept
-            self.no_extend.add(residual.top)
+            g = d.add_gadget(sorted(legs), -p)
+            self.no_extend.add(g.top)
             if f is not None:
-                self._check_insertion(f, legs, (kept, residual))
-        for gadget, p in plan.splits:
-            split_gadget(d, gadget, p)
-        # consume anchors: emit the residue over alpha as Rz
+                self._check_insertion(f, g)
+        for g, p in plan.splits:
+            d.add_gadget(sorted(g.legs), g.phase - p)
+        # the alpha on each anchor is absorbed into the NCP; the rest is an Rz
         qubits = tuple(self.qubit_of(a) for a in plan.target_set)
-        for a in plan.target_set:
-            residue = split_output_phase(d, a, plan.alpha)
+        for a, q in zip(plan.target_set, qubits):
+            residue = d.phase(a) - plan.alpha
             if not residue.is_zero():
-                self.rev.append(Gate("Rz", (self.qubit_of(a),), residue))
-            d.set_phase(a, Phase(0))  # the alpha is absorbed into the NCP
-        for legs, g in plan.matched.items():
+                self.rev.append(Gate("Rz", (q,), residue))
+            d.set_phase(a, Phase(0))
+        for g in plan.matched.values():
             d.remove_spider(g.top)
             d.remove_spider(g.root)
         self.rev.append(Gate("NCP", qubits, plan.phi))
@@ -172,11 +177,10 @@ class _Extractor:
             raise ExtractionError("lost gflow before insertion", self.d)
         return f
 
-    def _check_insertion(self, f, legs, gadgets) -> None:
-        """Debug mode: extend the pre-insertion gflow over the new gadgets and verify it."""
+    def _check_insertion(self, f, gadget) -> None:
+        """Debug mode: extend the pre-insertion gflow over the new gadget and verify it."""
         graph = labeled_graph_of(self.d)
-        for g in gadgets:
-            f = extend_gflow_insertion(graph, f, g.root, set(legs))
+        f = extend_gflow_insertion(graph, f, gadget.root, set(gadget.legs))
         if not verify_gflow(graph, f):
             raise ExtractionError("gflow extension failed verification", self.d)
 

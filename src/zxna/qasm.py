@@ -4,16 +4,18 @@ The gate vocabulary lives in one table, ``_GATES``: each QASM name maps to
 its IR kind, parameter count and qubit count.  The reader looks calls up
 there; the writer's names are its inverse.  Besides the table the reader
 knows the multi-controlled phase family ``ncp<m>``/``ncz<m>``/``mcp``/
-``mcphase``, which round-trips through opaque declarations, and user gate
-definitions, expanded at call sites.  A gate body may call only built-ins,
-that family and gates defined before it.
+``mcphase``, which round-trips through opaque declarations (a name's digits
+fix its qubit count), and user gate definitions, expanded at call sites.  A
+gate body may call only built-ins, that family and gates defined before it.
 
 The reader also handles qreg/creg declarations, ``include``, ``barrier``
 (ignored) and trailing measurements (stripped to metadata).  Gate calls on
 bare registers broadcast in the usual way.  Angle expressions are evaluated
 exactly as rational multiples of pi whenever possible; decimal literals are
 rationalized by continued fractions.  Malformed input always raises
-:class:`QasmError` with the line and column of the offending token.
+:class:`QasmError` with the line and column of the offending token; a
+statement nested deeper than the Python stack allows is reported at its
+first token.
 """
 
 from __future__ import annotations
@@ -194,7 +196,11 @@ class _Parser(_Cursor):
                 raise QasmError(f"unsupported OPENQASM version {v.text}", v.line, v.col)
             self.expect(";")
         while self.peek().kind != "eof":
-            self.statement(self.peek())
+            t = self.peek()
+            try:
+                self.statement(t)
+            except RecursionError:  # nested parentheses, unary signs or gate calls
+                raise QasmError("statement nested too deeply", t.line, t.col) from None
         if self.num_qubits == 0:
             t = self.peek()
             raise QasmError("no qubits declared", t.line, t.col)
@@ -279,7 +285,7 @@ class _Parser(_Cursor):
             pexprs = self.paren_groups()
             gargs = self.id_list()
             self.expect(";")
-            if t.text not in _GATES and t.text not in self.defs and self.ncp_kind(t.text) is None:
+            if t.text not in _GATES and t.text not in self.defs and self.ncp_spec(t.text, 0) is None:
                 what = "calls itself" if t.text == name else f"calls undefined gate {t.text!r}"
                 raise QasmError(f"gate {name!r} {what}", t.line, t.col)
             for a in gargs:
@@ -298,12 +304,17 @@ class _Parser(_Cursor):
             raise QasmError(f"unsupported opaque gate {t.text!r}", t.line, t.col)
         self.opaque.add(t.text)
 
-    def ncp_kind(self, name: str) -> Optional[str]:
-        """``NCP``/``NCZ`` for a name of the multi-controlled phase family, else None."""
+    def ncp_spec(self, name: str, called: int) -> Optional[tuple]:
+        """``_GATES`` entry of a multi-controlled phase family name, else None.
+
+        ``ncp<m>`` acts on m qubits; a name without digits on the ``called``
+        number.  Either way the qubit count is at least two.
+        """
         m = _NCP_NAME.match(name)
         if m is None or not (m.group(2) or name in self.opaque):
             return None
-        return "NCZ" if m.group(1) == "ncz" else "NCP"
+        kind = "NCZ" if m.group(1) == "ncz" else "NCP"
+        return kind, int(kind == "NCP"), max(int(m.group(2) or called), 2)
 
     # -- gate calls --------------------------------------------------------
 
@@ -332,15 +343,11 @@ class _Parser(_Cursor):
     def emit(self, name: str, params: list[_Val], qubits: list[int], tok: _Token) -> None:
         if len(set(qubits)) != len(qubits):
             raise QasmError("duplicate qubit argument", tok.line, tok.col)
-        spec = _GATES.get(name)
+        spec = _GATES.get(name) or self.ncp_spec(name, len(qubits))
         if spec is None:
-            kind = self.ncp_kind(name)
-            if kind is not None:
-                spec = (kind, int(kind == "NCP"), max(len(qubits), 2))
-            elif name in self.defs:
-                return self.expand(self.defs[name], params, qubits, tok)
-            else:
+            if name not in self.defs:
                 raise QasmError(f"unknown gate {name!r}", tok.line, tok.col)
+            return self.expand(self.defs[name], params, qubits, tok)
         kind, np_, nq = spec
         if len(params) != np_ or len(qubits) != nq:
             raise QasmError(f"{name} expects {np_} parameter(s) and {nq} qubit(s)", tok.line, tok.col)

@@ -108,11 +108,7 @@ def gadget_pivot(d: ZxDiagram, u: int, v: int) -> bool:
         raise ValueError("gadget_pivot requires adjacent spiders")
     if not d.phase(u).is_pauli() or d.phase(v).is_clifford():
         return False
-    sigma = d.phase(v)
-    root = d.add_spider(Phase(0))
-    top = d.add_spider(sigma)
-    d.toggle_edge(root, top)
-    d.toggle_edge(root, v)
+    d.add_gadget((v,), d.phase(v))
     d.set_phase(v, Phase(0))
     ok = pivot_simp(d, u, v)
     assert ok

@@ -104,6 +104,32 @@ def test_run_time_config(qasm_file, tmp_path, capsys):
     assert scaled["time_ms"] > base["time_ms"]
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ('{"gr_s": 1e-3}', "unknown time config key 'gr_s'"),
+        ('{"gr": "fast"}', "'gr' must be a finite non-negative number"),
+        ('{"gr": -1}', "'gr' must be a finite non-negative number"),
+        ('{"ncp": NaN}', "'ncp' must be a finite non-negative number"),
+        ('{"rz": true}', "'rz' must be a finite non-negative number"),
+        ('[1e-3]', "must be a JSON object"),
+        ('{"gr": 1e-3', "cannot read time config"),
+        (None, "cannot read time config"),
+    ],
+    ids=["unknown-key", "string", "negative", "nan", "bool", "not-object", "not-json", "missing"],
+)
+@pytest.mark.parametrize("cmd", ["run", "suite"])
+def test_bad_time_config(qasm_file, tmp_path, capsys, cmd, content, message):
+    cfg = tmp_path / "times.json"
+    if content is not None:
+        cfg.write_text(content)
+    target = qasm_file if cmd == "run" else qasm_file.parent
+    rc = main([cmd, str(target), "--time-config", str(cfg)])
+    assert rc == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert message in rep["error"]
+
+
 def test_suite_aggregate(tmp_path, capsys):
     d = tmp_path / "bench"
     d.mkdir()

@@ -5,14 +5,10 @@ import pytest
 
 from zxna import Phase, ZxDiagram, diagram_tensor, equal_up_to_scalar
 from zxna.cnp import (
-    MatchPlan,
     instantiate_template,
-    insert_identity_pair,
     lemma2_sum,
     match_cnp,
     phase_accumulation,
-    split_gadget,
-    split_output_phase,
     theorem1_template,
 )
 
@@ -22,15 +18,6 @@ def _anchored(n):
     anchors = [d.add_spider() for _ in range(n)]
     d.outputs = list(anchors)
     return d, anchors
-
-
-def _add_gadget(d, legs, phase):
-    root = d.add_spider(Phase(0))
-    top = d.add_spider(phase)
-    d.toggle_edge(root, top)
-    for a in legs:
-        d.toggle_edge(root, a)
-    return top
 
 
 def test_template_n2():
@@ -114,8 +101,8 @@ def test_match_partial_structure():
     # a 3-leg gadget with only one of its three pair gadgets present
     d, anchors = _anchored(3)
     a, b, c = anchors
-    _add_gadget(d, (a, b, c), Phase(1, 4))
-    _add_gadget(d, (a, b), Phase(-1, 4))
+    d.add_gadget((a, b, c), Phase(1, 4))
+    d.add_gadget((a, b), Phase(-1, 4))
     no_ins = match_cnp(d, set(anchors), "no-insert")
     # the 3-anchor seed fails; the pair gadget still matches on its own
     assert no_ins is not None and no_ins.n == 2
@@ -132,9 +119,9 @@ def test_match_upward_completion():
     # three pair gadgets forming a triangle grow into a 3-anchor target
     d, anchors = _anchored(3)
     a, b, c = anchors
-    seed_top = _add_gadget(d, (a, b), Phase(1, 8))
-    _add_gadget(d, (a, c), Phase(1, 8))
-    _add_gadget(d, (b, c), Phase(1, 8))
+    seed_top = d.add_gadget((a, b), Phase(1, 8)).top
+    d.add_gadget((a, c), Phase(1, 8))
+    d.add_gadget((b, c), Phase(1, 8))
     plan = match_cnp(d, set(anchors), "with-insert")
     assert plan is not None
     assert plan.target_set == tuple(sorted((a, b, c)))
@@ -147,9 +134,9 @@ def test_match_upward_completion():
 def test_match_respects_max_size():
     d, anchors = _anchored(3)
     a, b, c = anchors
-    _add_gadget(d, (a, b), Phase(1, 8))
-    _add_gadget(d, (a, c), Phase(1, 8))
-    _add_gadget(d, (b, c), Phase(1, 8))
+    d.add_gadget((a, b), Phase(1, 8))
+    d.add_gadget((a, c), Phase(1, 8))
+    d.add_gadget((b, c), Phase(1, 8))
     plan = match_cnp(d, set(anchors), "with-insert", max_size=2)
     assert plan is not None and plan.n == 2
 
@@ -157,46 +144,14 @@ def test_match_respects_max_size():
 def test_match_ignores_off_frontier_gadgets():
     d, anchors = _anchored(2)
     extra = d.add_spider()
-    _add_gadget(d, (anchors[0], extra), Phase(1, 4))
+    d.add_gadget((anchors[0], extra), Phase(1, 4))
     assert match_cnp(d, set(anchors), "no-insert") is None
 
 
 def test_match_requires_phase_difference_split():
     d, anchors = _anchored(2)
     a, b = anchors
-    _add_gadget(d, (a, b), Phase(1, 8))
+    d.add_gadget((a, b), Phase(1, 8))
     plan = match_cnp(d, {a, b}, "no-insert")
     assert plan is not None and plan.alpha == Phase(-1, 8)
     assert plan.phi == Phase(-1, 4)
-
-
-def test_split_gadget():
-    d, anchors = _anchored(2)
-    top = _add_gadget(d, anchors, Phase(1, 2))
-    (g,) = d.find_gadgets()
-    before = diagram_tensor(d)
-    residue = split_gadget(d, g, Phase(-1, 4))
-    assert residue is not None and residue.phase == Phase(3, 4)
-    assert d.phase(top) == Phase(-1, 4)
-    assert equal_up_to_scalar(diagram_tensor(d), before, 1e-9)
-    # matching phase: no-op
-    (g2,) = [g for g in d.find_gadgets() if g.top == top]
-    assert split_gadget(d, g2, Phase(-1, 4)) is None
-
-
-def test_split_output_phase():
-    d, anchors = _anchored(1)
-    d.set_phase(anchors[0], Phase(3, 4))
-    res = split_output_phase(d, anchors[0], Phase(1, 4))
-    assert res == Phase(1, 2)
-    assert d.phase(anchors[0]) == Phase(1, 4)
-
-
-def test_insert_identity_pair():
-    d, anchors = _anchored(2)
-    before = diagram_tensor(d)
-    kept, residual = insert_identity_pair(d, frozenset(anchors), Phase(1, 8))
-    assert kept.phase == Phase(1, 8) and residual.phase == Phase(-1, 8)
-    assert equal_up_to_scalar(diagram_tensor(d), before, 1e-9)
-    with pytest.raises(ValueError):
-        insert_identity_pair(d, frozenset({anchors[0], 999}), Phase(1, 8))

@@ -19,7 +19,8 @@ from zxna import (
     parse_qasm,
     synthesize,
 )
-from zxna.extract import ExtractionError, pivot_yz_neighbor
+from zxna.cnp import match_cnp
+from zxna.extract import ExtractionError, _Extractor, pivot_yz_neighbor
 from zxna.gf2 import row_reduce
 from zxna.ingest import circuit_to_diagram, to_graph_like
 from zxna.oracle import apply_gate, gate_matrix
@@ -143,6 +144,31 @@ def test_debug_mode_checks_insertions():
         full_simplify(d)
         out = extract_circuit(d, ExtractionMode("with-insert", debug=True))
         assert equal_up_to_scalar(circuit_unitary(out), circuit_unitary(c), 1e-8)
+        assert out.gates == extract_circuit(d, ExtractionMode("with-insert")).gates
+
+
+def test_execute_plan_preserves_tensor():
+    # a 3-leg gadget with one of its three pair gadgets, whose phase is off:
+    # the plan inserts the two missing pairs and splits the present one
+    d = ZxDiagram(0, 3)
+    a, b, c = d.outputs = [d.add_spider() for _ in range(3)]
+    d.add_gadget((a, b, c), Phase(1, 4))
+    d.add_gadget((a, b), Phase(1, 8))
+    ex = _Extractor(d, ExtractionMode("with-insert"))
+    plan = match_cnp(ex.d, set(ex.d.outputs), "with-insert")
+    assert plan.n == 3 and len(plan.insertions) == 2 and len(plan.splits) == 1
+    before = diagram_tensor(ex.d)
+    ex.execute_plan(plan)
+    step = circuit_unitary(Circuit(3, tuple(reversed(ex.rev))))
+    assert [g.kind for g in ex.rev] == ["Rz"] * 3 + ["NCP"]
+    assert equal_up_to_scalar(step @ diagram_tensor(ex.d), before, 1e-9)
+    gadgets = ex.d.find_gadgets()
+    left = {g.legs: g for g in gadgets}
+    assert len(gadgets) == len(left) == 3
+    for legs, p in plan.insertions:
+        assert left[legs].phase == -p and left[legs].top in ex.no_extend
+    ((split, p),) = plan.splits
+    assert left[split.legs].phase == split.phase - p == Phase(3, 8)
 
 
 def test_max_ctrl_caps_arity():

@@ -4,7 +4,6 @@ import pytest
 
 from helpers import all_small_open_graphs, brute_gflow_exists, rand_open_graph
 from zxna import Circuit, Gate, Phase, ZxDiagram, find_gflow, verify_gflow
-from zxna.cnp import insert_identity_pair
 from zxna.gflow import GFlow, LabeledOpenGraph, extend_gflow_insertion, labeled_graph_of, odd_neighborhood
 from zxna.ingest import circuit_to_diagram, to_graph_like
 
@@ -76,7 +75,9 @@ def test_extend_gflow_insertion():
     d = circuit_to_diagram(Circuit(2, (Gate("CZ", (0, 1)),)))
     g = labeled_graph_of(d)
     f = find_gflow(g)
-    kept, residual = insert_identity_pair(d, frozenset(d.outputs), Phase(1, 8))
+    # an identity pair: two gadgets with opposite phases on the same legs
+    kept = d.add_gadget(d.outputs, Phase(1, 8))
+    residual = d.add_gadget(d.outputs, Phase(-1, 8))
     for gadget in (kept, residual):
         g2 = labeled_graph_of(d)
         f = extend_gflow_insertion(g2, f, gadget.root, set(gadget.legs))

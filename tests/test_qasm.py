@@ -163,6 +163,11 @@ def test_error_positions():
         parse_qasm("qreg q[2]; qreg r[3]; cx q,r;")
     with pytest.raises(QasmError, match="no qubits"):
         parse_qasm("creg c[1];")
+    # the digits of an ncp<m>/ncz<m> name fix its qubit count
+    with pytest.raises(QasmError, match="col 12: ncp3 expects 1 parameter\\(s\\) and 3 qubit"):
+        parse_qasm("qreg q[2]; ncp3(pi/2) q[0], q[1];")
+    with pytest.raises(QasmError, match="col 33: ncz4 expects 0 parameter\\(s\\) and 4 qubit"):
+        parse_qasm("qreg q[2]; opaque ncz4 a,b,c,d; ncz4 q[0], q[1];")
 
 
 @pytest.mark.parametrize(
@@ -210,6 +215,32 @@ def test_gate_body_calls_later_gate():
     with pytest.raises(QasmError, match="gate 'f' calls undefined gate 'g'") as e:
         parse_qasm(text)
     assert (e.value.line, e.value.col) == (1, 23)
+
+
+def _gate_chain(depth):
+    defs = "".join(f"gate g{i} a {{ g{i - 1} a; }}\n" for i in range(1, depth))
+    return f"qreg q[1];\ngate g0 a {{ h a; }}\n{defs}g{depth - 1} q[0];"
+
+
+@pytest.mark.parametrize(
+    "text, pos",
+    [
+        ("qreg q[1]; rz(" + "(" * 400 + "pi" + ")" * 400 + ") q[0];", (1, 12)),
+        ("qreg q[1]; rz(" + "-" * 2000 + "pi) q[0];", (1, 12)),
+        (_gate_chain(600), (602, 1)),
+    ],
+    ids=["parentheses", "unary-minus", "gate-chain"],
+)
+def test_deep_nesting(text, pos):
+    with pytest.raises(QasmError, match="nested too deeply") as e:
+        parse_qasm(text)
+    assert (e.value.line, e.value.col) == pos
+
+
+def test_moderate_nesting_parses():
+    c = parse_qasm("qreg q[1]; rz(" + "(" * 100 + "-" * 300 + "pi" + ")" * 100 + ") q[0];")
+    assert c.gates == (Gate("Rz", (0,), Phase(1)),)
+    assert parse_qasm(_gate_chain(100)).gates == (Gate("H", (0,)),)
 
 
 def test_roundtrip_random_circuits():
