@@ -158,7 +158,7 @@ def main(argv=None) -> int:
     if args.cmd == "run":
         try:
             rep = _run_one(Path(args.file), args.pipeline, args, time_config)
-        except (QasmError, ValueError, RuntimeError) as e:
+        except (QasmError, ValueError, RuntimeError, OSError) as e:
             return _error({"file": args.file, "pipeline": args.pipeline, "error": str(e)})
         _emit([rep], args.format, sys.stdout)
         return 0
@@ -168,13 +168,15 @@ def main(argv=None) -> int:
     args.emit_schedule = None
     pipelines = args.pipelines or list(PIPELINES)
     files = sorted(Path(args.directory).glob("*.qasm"))
+    if not files:
+        return _error({"error": f"no .qasm files in directory {args.directory}"})
     rows: list[dict] = []
     failed = False
     for f in files:
         for p in pipelines:
             try:
                 rows.append(_run_one(f, p, args, time_config))
-            except (QasmError, ValueError, RuntimeError) as e:
+            except (QasmError, ValueError, RuntimeError, OSError) as e:
                 rows.append({"file": f.name, "pipeline": p, "error": str(e)})
                 failed = True
     # aggregate row: mean relative execution time against the baseline pipeline

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .phase import Phase
 
@@ -48,14 +48,24 @@ class ZxDiagram:
         self._adj[v] = set()
         return v
 
-    def add_gadget(self, legs: Sequence[int], phase: Phase) -> GadgetView:
-        """Hang a new phase gadget on ``legs``: a root, then a top, then the leg wires in order."""
-        root = self.add_spider(Phase(0))
-        top = self.add_spider(phase)
-        self.toggle_edge(root, top)
-        for a in legs:
-            self.toggle_edge(root, a)
-        return GadgetView(top, root, frozenset(legs), phase)
+    def add_gadget(self, legs: Iterable[int], phase: Phase) -> GadgetView:
+        """Hang a new phase gadget on ``legs``: reserve its ids, then place it."""
+        g = self.reserve_gadget(legs, phase)
+        self.place_gadget(g)
+        return g
+
+    def reserve_gadget(self, legs: Iterable[int], phase: Phase) -> GadgetView:
+        """Take the next two ids for a gadget's root and top without adding either."""
+        root = self._next_id
+        self._next_id += 2
+        return GadgetView(root + 1, root, frozenset(legs), phase)
+
+    def place_gadget(self, g: GadgetView) -> None:
+        """Add a reserved gadget: its root, its top, then its leg wires in ascending order."""
+        self._phases[g.root], self._phases[g.top] = Phase(0), g.phase
+        self._adj[g.root], self._adj[g.top] = set(), set()
+        for a in (g.top, *sorted(g.legs)):
+            self.toggle_edge(g.root, a)
 
     def remove_spider(self, v: int) -> None:
         for w in self._adj.pop(v):

@@ -7,6 +7,11 @@ advances through a Hadamard; otherwise GF(2) elimination of the biadjacency
 matrix emits CX gates until one does.  Gadget roots blocking the frontier
 are pivoted back into the XY plane.  The collected gates are in reverse
 order and flipped at the end.
+
+The controlled-phase step scans for gadgets once, then matches on an index
+of the (fixed) frontier's gadgets that each plan updates.  Gadgets a plan
+leaves get their ids at once but enter the diagram when the step ends, in
+id order, so ids, spider order and edges are as if placed right away.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from typing import Literal, Optional
 
 from .circuit import Circuit, Gate
 from .cnp import MatchPlan, match_cnp
-from .diagram import ZxDiagram
+from .diagram import GadgetView, ZxDiagram
 from .gf2 import row_reduce
 from .gflow import extend_gflow_insertion, find_gflow, labeled_graph_of, verify_gflow
 from .phase import Phase
@@ -76,6 +81,8 @@ class _Extractor:
         self.n = len(self.d.outputs)
         self.yz_pivots = 0
         self.no_extend: set[int] = set()
+        self.gadgets: dict[int, GadgetView] = {}  # pull_cnp's frontier gadgets by top id, ascending
+        self.pending: dict[int, GadgetView] = {}  # reserved, not yet placed
         self._pad_inputs()
 
     def _pad_inputs(self) -> None:
@@ -93,9 +100,6 @@ class _Extractor:
             d.toggle_edge(i, x)
             d.toggle_edge(x, y)
             d.inputs[q] = y
-
-    def qubit_of(self, v: int) -> int:
-        return self.d.outputs.index(v)
 
     # -- single extraction steps -----------------------------------------
 
@@ -129,49 +133,68 @@ class _Extractor:
     def pull_cnp(self) -> bool:
         if self.mode.kind == "default":
             return False
-        changed = False
+        frontier = set(self.d.outputs)
+        scan = self.d.find_gadgets()
+        self.gadgets = {g.top: g for g in scan if g.legs <= frontier and len(g.legs) >= 2}
         limit = 10 * (self.d.num_spiders() + 10)
-        for _ in range(limit):
-            frontier = set(self.d.outputs)
+        for plans in range(limit):
             plan = match_cnp(
-                self.d, frontier, self.mode.kind, self.mode.max_ctrl,
-                no_extend=frozenset(self.no_extend),
+                self.gadgets.values(), frontier, self.mode.kind, self.mode.max_ctrl,
+                no_extend=self.no_extend,
             )
             if plan is None:
-                return changed
+                self.place_pending()
+                return plans > 0
             self.execute_plan(plan)
-            changed = True
+        self.place_pending()
         raise ExtractionError("controlled-phase matching did not settle", self.d)
 
     def execute_plan(self, plan: MatchPlan) -> None:
         """Replace the plan's gadgets and anchor phases with one NCP gate.
 
         Each insertion leaves a gadget with the opposite of the required
-        phase, each split a gadget with the surplus.  They are created in
-        plan order, insertions first: later matches order seeds by top id.
+        phase, each split a gadget with the surplus.  They are reserved in
+        plan order, insertions first (later matches order seeds by top id),
+        and join the index and ``pending``.  Matched gadgets leave the
+        index; a pending one is dropped, a placed one removed.
         """
         d = self.d
         for legs, p in plan.insertions:
             f = self._gflow_before_insertion() if self.mode.debug else None
-            g = d.add_gadget(sorted(legs), -p)
+            g = self._reserve(legs, -p)
             self.no_extend.add(g.top)
             if f is not None:
+                self.place_pending()
                 self._check_insertion(f, g)
         for g, p in plan.splits:
-            d.add_gadget(sorted(g.legs), g.phase - p)
+            self._reserve(g.legs, g.phase - p)
         # the alpha on each anchor is absorbed into the NCP; the rest is an Rz
-        qubits = tuple(self.qubit_of(a) for a in plan.target_set)
+        qubits = tuple(d.outputs.index(a) for a in plan.target_set)
         for a, q in zip(plan.target_set, qubits):
             residue = d.phase(a) - plan.alpha
             if not residue.is_zero():
                 self.rev.append(Gate("Rz", (q,), residue))
             d.set_phase(a, Phase(0))
         for g in plan.matched.values():
-            d.remove_spider(g.top)
-            d.remove_spider(g.root)
+            del self.gadgets[g.top]
+            if self.pending.pop(g.top, None) is None:
+                d.remove_spider(g.top)
+                d.remove_spider(g.root)
         self.rev.append(Gate("NCP", qubits, plan.phi))
 
+    def _reserve(self, legs, phase: Phase) -> GadgetView:
+        g = self.d.reserve_gadget(legs, phase)
+        self.gadgets[g.top] = self.pending[g.top] = g
+        return g
+
+    def place_pending(self) -> None:
+        """Place the reserved gadgets in the diagram, in ascending top id."""
+        for g in self.pending.values():
+            self.d.place_gadget(g)
+        self.pending.clear()
+
     def _gflow_before_insertion(self):
+        self.place_pending()
         f = find_gflow(labeled_graph_of(self.d))
         if f is None:
             raise ExtractionError("lost gflow before insertion", self.d)
@@ -239,14 +262,16 @@ class _Extractor:
     def yz_pivot_step(self) -> bool:
         d = self.d
         ins = set(d.inputs)
-        frontier = set(d.outputs)
-        roots = {g.root for g in d.find_gadgets()}
+        boundary = ins | set(d.outputs)
         for q in range(self.n):
             v = d.outputs[q]
             if v in ins:
                 continue
             for w in sorted(d.neighbors(v)):
-                if w in roots and w not in frontier:
+                # a gadget root by find_gadgets' test: phase-free, interior, with
+                # a leg and an interior degree-1 neighbor
+                if (w not in boundary and d.phase(w).is_zero() and d.degree(w) >= 2
+                        and any(t not in boundary and d.degree(t) == 1 for t in d.neighbors(w))):
                     pivot_yz_neighbor(d, w, v)
                     self.yz_pivots += 1
                     return True

@@ -307,14 +307,17 @@ class _Parser(_Cursor):
     def ncp_spec(self, name: str, called: int) -> Optional[tuple]:
         """``_GATES`` entry of a multi-controlled phase family name, else None.
 
-        ``ncp<m>`` acts on m qubits; a name without digits on the ``called``
-        number.  Either way the qubit count is at least two.
+        ``ncp<m>`` acts on m qubits and names no gate for m < 2; an opaque
+        name without digits acts on the ``called`` number, at least two.
         """
         m = _NCP_NAME.match(name)
         if m is None or not (m.group(2) or name in self.opaque):
             return None
+        nq = int(m.group(2) or max(called, 2))
+        if nq < 2:
+            return None
         kind = "NCZ" if m.group(1) == "ncz" else "NCP"
-        return kind, int(kind == "NCP"), max(int(m.group(2) or called), 2)
+        return kind, int(kind == "NCP"), nq
 
     # -- gate calls --------------------------------------------------------
 

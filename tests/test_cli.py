@@ -85,6 +85,14 @@ def test_run_error_exit_code(tmp_path, capsys):
     assert "error" in rep and "frobnicate" in rep["error"]
 
 
+def test_run_missing_file(tmp_path, capsys):
+    missing = tmp_path / "missing.qasm"
+    rc = main(["run", str(missing)])
+    assert rc == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["file"] == str(missing) and "No such file" in rep["error"]
+
+
 def test_run_truncated_file(tmp_path, capsys):
     f = tmp_path / "truncated.qasm"
     f.write_text("OPENQASM 2.0;\nqreg q[1];\nrz(")
@@ -175,3 +183,27 @@ def test_suite_error_marks_failure(tmp_path, capsys):
     rows = json.loads(capsys.readouterr().out)
     assert any("error" in r for r in rows)
     assert any("counts" in r for r in rows)
+
+
+def test_suite_unreadable_entry_marks_failure(tmp_path, capsys):
+    d = tmp_path / "bench"
+    d.mkdir()
+    (d / "good.qasm").write_text(SIMPLE)
+    (d / "dir.qasm").mkdir()  # matches the glob but cannot be read
+    rc = main(["suite", str(d), "--pipeline", "no-decomp", "--format", "json"])
+    assert rc == 1
+    rows = json.loads(capsys.readouterr().out)
+    assert [r["file"] for r in rows if "error" in r] == ["dir.qasm"]
+    assert any("counts" in r for r in rows)
+
+
+@pytest.mark.parametrize("make", ["missing", "empty"])
+def test_suite_without_qasm_files(tmp_path, capsys, make):
+    d = tmp_path / "bench"
+    if make == "empty":
+        d.mkdir()
+        (d / "notes.txt").write_text(SIMPLE)
+    rc = main(["suite", str(d), "--format", "table"])
+    assert rc == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep == {"error": f"no .qasm files in directory {d}"}

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -155,10 +156,15 @@ def test_execute_plan_preserves_tensor():
     d.add_gadget((a, b, c), Phase(1, 4))
     d.add_gadget((a, b), Phase(1, 8))
     ex = _Extractor(d, ExtractionMode("with-insert"))
-    plan = match_cnp(ex.d, set(ex.d.outputs), "with-insert")
+    ex.gadgets = {g.top: g for g in ex.d.find_gadgets()}
+    plan = match_cnp(ex.gadgets.values(), set(ex.d.outputs), "with-insert")
     assert plan.n == 3 and len(plan.insertions) == 2 and len(plan.splits) == 1
     before = diagram_tensor(ex.d)
     ex.execute_plan(plan)
+    # the gadgets the plan leaves are reserved, not yet in the diagram
+    assert len(ex.pending) == 3 and len(ex.d.find_gadgets()) == 0
+    ex.place_pending()
+    assert ex.pending == {} and list(ex.gadgets.values()) == ex.d.find_gadgets()
     step = circuit_unitary(Circuit(3, tuple(reversed(ex.rev))))
     assert [g.kind for g in ex.rev] == ["Rz"] * 3 + ["NCP"]
     assert equal_up_to_scalar(step @ diagram_tensor(ex.d), before, 1e-9)
@@ -169,6 +175,81 @@ def test_execute_plan_preserves_tensor():
         assert left[legs].phase == -p and left[legs].top in ex.no_extend
     ((split, p),) = plan.splits
     assert left[split.legs].phase == split.phase - p == Phase(3, 8)
+
+
+def _simplified(c: Circuit) -> ZxDiagram:
+    d = circuit_to_diagram(c)
+    to_graph_like(d)
+    full_simplify(d)
+    return d
+
+
+def _cnp_corpus():
+    """qft6, qft8 and six random corpus circuits, simplified."""
+    circuits = [qft_circuit(6), qft_circuit(8)]
+    circuits += [rand_corpus_circuit(seed, max_qubits=6, max_gates=35) for seed in range(40, 46)]
+    return [_simplified(c) for c in circuits]
+
+
+def test_frontier_index_tracks_diagram(monkeypatch):
+    # placing the pending gadgets after every plan must leave the index equal
+    # to a fresh scan, and must not change the extracted circuit
+    execute_plan = _Extractor.execute_plan
+    plans = 0
+
+    def checked(self, plan):
+        nonlocal plans
+        execute_plan(self, plan)
+        self.place_pending()
+        frontier = set(self.d.outputs)
+        fresh = [g for g in self.d.find_gadgets() if g.legs <= frontier and len(g.legs) >= 2]
+        assert list(self.gadgets.values()) == fresh
+        plans += 1
+
+    corpus = _cnp_corpus()
+    modes = [ExtractionMode(kind) for kind in ("no-insert", "with-insert")]
+    expected = [extract_circuit(d, m) for d in corpus for m in modes]
+    monkeypatch.setattr(_Extractor, "execute_plan", checked)
+    assert [extract_circuit(d, m) for d in corpus for m in modes] == expected
+    assert plans > 0
+
+
+def test_extraction_scans_gadgets_once_per_cnp_step(monkeypatch):
+    # one find_gadgets scan for the gflow precheck and one per pull_cnp call,
+    # however many plans that call executes
+    scans = steps = plans = 0
+    find_gadgets = ZxDiagram.find_gadgets
+    pull_cnp = _Extractor.pull_cnp
+    execute_plan = _Extractor.execute_plan
+
+    def counted_scan(self):
+        nonlocal scans
+        scans += 1
+        return find_gadgets(self)
+
+    def counted_step(self):
+        nonlocal steps
+        steps += 1
+        return pull_cnp(self)
+
+    def counted_plan(self, plan):
+        nonlocal plans
+        plans += 1
+        return execute_plan(self, plan)
+
+    monkeypatch.setattr(ZxDiagram, "find_gadgets", counted_scan)
+    monkeypatch.setattr(_Extractor, "pull_cnp", counted_step)
+    monkeypatch.setattr(_Extractor, "execute_plan", counted_plan)
+    total_plans = 0
+    for d in _cnp_corpus():
+        for kind in ("default", "no-insert", "with-insert"):
+            scans = steps = plans = 0
+            extract_circuit(d, ExtractionMode(kind))
+            limit = 1 if kind == "default" else steps + 1
+            assert scans <= limit, (kind, scans, steps, plans)
+            total_plans += plans
+    # a rescan per plan would break the bound above on these runs
+    assert total_plans > 0
 
 
 def test_max_ctrl_caps_arity():
@@ -263,6 +344,20 @@ rx(-pi/4) q[3]; rx(-pi/4) q[4]; rx(pi/4) q[5]; rx(3*pi/4) q[6];
 rx(-pi/4) q[7]; rx(3*pi/4) q[8]; rx(3*pi/4) q[9]; rx(pi/4) q[10];
 rx(-pi/4) q[11];
 """
+
+
+def test_unsettled_matching_reports_whole_diagram():
+    # the error is raised after the pending gadgets are placed, so its
+    # diagram dump is a complete, well-formed diagram; the digest pins the
+    # message, which an extraction change must update on purpose
+    with pytest.raises(ExtractionError, match="did not settle") as info:
+        synthesize(parse_qasm(PHASEPOLY_QASM), "zx-with-insert")
+    dump = str(info.value).split("\ndiagram: ", 1)[1]
+    d = ZxDiagram.from_json(dump)
+    d.check_simple()
+    assert d.to_json() == dump
+    digest = hashlib.sha256(str(info.value).encode()).hexdigest()
+    assert digest == "f29e8df6b28a78ee86072714df658314083001b151ac45bb94754b999f3cf7ae"
 
 
 @pytest.mark.xfail(strict=True, raises=ExtractionError,

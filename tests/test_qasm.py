@@ -170,6 +170,16 @@ def test_error_positions():
         parse_qasm("qreg q[2]; opaque ncz4 a,b,c,d; ncz4 q[0], q[1];")
 
 
+
+@pytest.mark.parametrize("call", ["ncp0(pi) q[0], q[1];", "ncp1(pi) q[0], q[1];", "ncz0 q[0];", "ncz1 q[0], q[1];"])
+def test_ncp_name_below_two_qubits_is_unknown(call):
+    # ncp<m>/ncz<m> with m < 2 names no gate, with or without an opaque declaration
+    name = call.split("(")[0].split()[0]
+    for head in ("qreg q[2]; ", f"qreg q[2]; opaque {name} a;"):
+        with pytest.raises(QasmError, match=f"col {len(head) + 1}: unknown gate '{name}'"):
+            parse_qasm(head + call)
+
+
 @pytest.mark.parametrize(
     "text",
     ["qreg q[1]; gate foo(a", "qreg q[1]; opaque ncp3", "qreg q[1]; rz(", "qreg q[1]; h q[0]; barrier q"],
