@@ -13,7 +13,7 @@ from .diagram import ZxDiagram
 from .extract import ExtractionMode, extract_circuit
 from .gflow import find_gflow, verify_gflow
 from .ingest import circuit_to_diagram
-from .oracle import circuit_unitary, diagram_tensor, equal_up_to_scalar
+from .oracle import apply_circuit, circuit_unitary, diagram_tensor, equal_up_to_scalar
 from .phase import Phase
 from .pipeline import PIPELINES, run_pipeline, synthesize
 from .qasm import parse_qasm, write_qasm
@@ -35,6 +35,7 @@ __all__ = [
     "schedule",
     "Schedule",
     "TimeConfig",
+    "apply_circuit",
     "circuit_unitary",
     "diagram_tensor",
     "equal_up_to_scalar",

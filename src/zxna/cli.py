@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Optional
 
 from .backend import Schedule, TimeConfig, schedule_counts
+from .circuit import Circuit
 from .oracle import MAX_QUBITS, circuit_unitary, equal_up_to_scalar
 from .pipeline import PIPELINES, run_pipeline
 from .qasm import QasmError, parse_qasm, write_qasm
@@ -63,24 +64,25 @@ def _report(file: str, pipeline: str, sched: Schedule, runtime_s: float, verifie
     }
 
 
-def _run_one(path: Path, pipeline: str, args, time_config: TimeConfig) -> dict:
-    c = parse_qasm(path.read_text())
+def _reference(c: Circuit, args):
+    """The input's dense unitary when ``--verify`` asks for a check and it fits, else None."""
+    if args.verify and c.num_qubits <= min(MAX_QUBITS, VERIFY_MAX_QUBITS):
+        return circuit_unitary(c)
+    return None
+
+
+def _run_one(name: str, c: Circuit, ref, pipeline: str, args, time_config: TimeConfig) -> dict:
     t0 = time.perf_counter()
     out, sched = run_pipeline(
         c, pipeline, max_ctrl=args.max_ctrl, debug=args.debug, time_config=time_config
     )
     runtime = time.perf_counter() - t0
-    verified = None
-    if args.verify:
-        if c.num_qubits <= min(MAX_QUBITS, VERIFY_MAX_QUBITS):
-            verified = equal_up_to_scalar(
-                circuit_unitary(out), circuit_unitary(c), tol=1e-8
-            )
+    verified = None if ref is None else equal_up_to_scalar(circuit_unitary(out), ref, tol=1e-8)
     if args.emit_qasm:
         Path(args.emit_qasm).write_text(write_qasm(out))
     if args.emit_schedule:
         Path(args.emit_schedule).write_text(sched.to_json())
-    return _report(path.name, pipeline, sched, runtime, verified)
+    return _report(name, pipeline, sched, runtime, verified)
 
 
 def _flatten(rep: dict) -> dict:
@@ -157,7 +159,9 @@ def main(argv=None) -> int:
 
     if args.cmd == "run":
         try:
-            rep = _run_one(Path(args.file), args.pipeline, args, time_config)
+            path = Path(args.file)
+            c = parse_qasm(path.read_text())
+            rep = _run_one(path.name, c, _reference(c, args), args.pipeline, args, time_config)
         except (QasmError, ValueError, RuntimeError, OSError) as e:
             return _error({"file": args.file, "pipeline": args.pipeline, "error": str(e)})
         _emit([rep], args.format, sys.stdout)
@@ -173,10 +177,17 @@ def main(argv=None) -> int:
     rows: list[dict] = []
     failed = False
     for f in files:
+        try:
+            c = parse_qasm(f.read_text())
+            ref = _reference(c, args)
+        except (QasmError, ValueError, OSError) as e:
+            rows.extend({"file": f.name, "pipeline": p, "error": str(e)} for p in pipelines)
+            failed = True
+            continue
         for p in pipelines:
             try:
-                rows.append(_run_one(f, p, args, time_config))
-            except (QasmError, ValueError, RuntimeError, OSError) as e:
+                rows.append(_run_one(f.name, c, ref, p, args, time_config))
+            except (ValueError, RuntimeError) as e:
                 rows.append({"file": f.name, "pipeline": p, "error": str(e)})
                 failed = True
     # aggregate row: mean relative execution time against the baseline pipeline

@@ -4,13 +4,29 @@ Dense unitaries of circuits, assignment-sum evaluation of ZX-diagrams, and
 projective matrix comparison.  Qubit ordering is little-endian throughout:
 qubit 0 is the least significant bit of a basis index.
 
+``apply_circuit`` runs a circuit over a ``(2**n, m)`` array of column
+vectors, and ``circuit_unitary`` runs it over the identity.  Most gates of
+the circuit IR are monomial: they map each basis state to one basis state
+times a phase.  These are the diagonal gates (Z, S, Sdg, T, Tdg, Rz, CZ,
+NCZ, NCP) and the permutation gates (X, Y, CX, Swap).  ``apply_circuit``
+composes them into one pending operator, a row permutation and a phase
+vector of length 2**n each, so such a gate costs O(2**n) and leaves the
+array alone.  The pending operator is written into the array, as one row
+gather and one row scale, before a gate that mixes basis states and at the
+end.  Of the mixing gates, H and Ry have real matrices and act as one real
+2x2 product over the array's float64 view; Rx goes through ``apply_gate``.
+H stays normalized: entries under a deferred (1/sqrt 2)**h scalar would
+grow as sqrt(2)**h and overflow after about 2,000 H gates.
+
+``diagram_tensor`` adds the spider phases of each assignment into one
+angle and the edge signs into one parity, and takes one ``exp``.
+
 ``apply_gate`` updates a ``(2**n, m)`` array in place through its
 ``(2,)*n + (m,)`` view and picks a kernel from the gate matrix's structure:
 a diagonal matrix scales the sub-slices whose entry is not 1, a 0/1
 permutation matrix exchanges sub-slices, a dense one-qubit matrix mixes the
 two half-slices, and any other matrix is contracted over its qubit axes and
-written back.  Only that last, general kernel copies the whole array; no
-gate of the circuit IR reaches it.
+written back.  Only that last, general kernel copies the whole array.
 """
 
 from __future__ import annotations
@@ -22,12 +38,15 @@ import numpy as np
 from .circuit import Circuit, Gate
 from .phase import Phase
 
-__all__ = ["gate_matrix", "circuit_unitary", "diagram_tensor", "equal_up_to_scalar"]
+__all__ = ["gate_matrix", "apply_circuit", "circuit_unitary", "diagram_tensor", "equal_up_to_scalar"]
 
 MAX_QUBITS = 12
 MAX_TENSOR_SPIDERS = 24
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+
+# row y of Y|psi> is Y[y, 1 - y] times the amplitude at 1 - y
+_Y_PHASES = np.array([-1j, 1j])
 
 _FIXED_1Q = {
     "H": _H,
@@ -131,15 +150,73 @@ def apply_gate(state: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], n: i
     return state
 
 
+def apply_circuit(state: np.ndarray, c: Circuit) -> np.ndarray:
+    """Return ``U @ state`` for the circuit's unitary U; ``state`` is left unchanged.
+
+    ``state`` is a ``(2**n, m)`` array of column vectors over the circuit's
+    n qubits (final measurements ignored).
+    """
+    n = c.num_qubits
+    dim = 1 << n
+    if state.ndim != 2 or state.shape[0] != dim:
+        raise ValueError(f"state must have shape ({dim}, m), got {state.shape}")
+    u = np.array(state, dtype=np.complex128, order="C")
+    bits = np.arange(dim)
+    qbit = (bits >> np.arange(n)[:, None]) & 1  # qbit[q, y] is bit q of y
+    # pending monomial operator: row y of its image is ph[y] * u[src[y]];
+    # None stands for the identity permutation or for unit phases
+    src = ph = None
+    for g in c.gates:
+        kind, qs = g.kind, g.qubits
+        if kind in ("H", "Rx", "Ry"):
+            u = _write_pending(u, src, ph)
+            src = ph = None
+            mat = gate_matrix(g)
+            if kind == "Rx":
+                apply_gate(u, mat, qs, n)
+            else:  # a real matrix acts on the real and imaginary parts alike
+                r = u.view(np.float64).reshape(dim >> (qs[0] + 1), 2, -1)
+                u = np.matmul(mat.real, r).reshape(dim, -1).view(np.complex128)
+            continue
+        if kind in ("X", "Y", "CX", "Swap"):
+            if kind == "CX":
+                flip = qbit[qs[0]] << qs[1]
+            elif kind == "Swap":
+                flip = (qbit[qs[0]] ^ qbit[qs[1]]) * ((1 << qs[0]) | (1 << qs[1]))
+            else:
+                flip = 1 << qs[0]
+            row = bits ^ flip
+            src = row if src is None else src[row]
+            if ph is not None:
+                ph = ph[row]
+            if kind != "Y":
+                continue
+            d = _Y_PHASES[qbit[qs[0]]]
+        elif kind in ("CZ", "NCZ", "NCP"):
+            mask = sum(1 << q for q in qs)
+            e = np.exp(1j * g.angle.to_float()) if kind == "NCP" else -1.0
+            d = np.where((bits & mask) == mask, e, 1.0)
+        else:  # one-qubit diagonal: Z, S, Sdg, T, Tdg, Rz
+            d = gate_matrix(g).diagonal()[qbit[qs[0]]]
+        ph = d if ph is None else ph * d
+    return _write_pending(u, src, ph)
+
+
+def _write_pending(u: np.ndarray, src, ph) -> np.ndarray:
+    """Rows ``ph[y] * u[src[y]]``: one row gather and one row scale, each skipped when None."""
+    if src is not None:
+        u = u[src]
+    if ph is not None:
+        u *= ph[:, None]
+    return u
+
+
 def circuit_unitary(c: Circuit) -> np.ndarray:
     """Dense unitary of a circuit (final measurements ignored)."""
     n = c.num_qubits
     if n > MAX_QUBITS:
         raise ValueError(f"too many qubits for dense oracle: {n}")
-    u = np.eye(1 << n, dtype=complex)
-    for g in c.gates:
-        u = apply_gate(u, gate_matrix(g), g.qubits, n)
-    return u
+    return apply_circuit(np.eye(1 << n, dtype=complex), c)
 
 
 def diagram_tensor(d) -> np.ndarray:
@@ -157,50 +234,41 @@ def diagram_tensor(d) -> np.ndarray:
     idx = {v: i for i, v in enumerate(ids)}
     size = 1 << k
     bits = np.arange(size, dtype=np.int64)
-    amp = np.ones(size, dtype=complex)
+    angle = np.zeros(size)
+    odd = np.zeros(size, dtype=np.int64)  # bit 0: parity of the edges with both ends 1
     for v in ids:
+        i = idx[v]
+        a_v = (bits >> i) & 1
         p = d.phase(v)
         if not p.is_zero():
-            a_v = (bits >> idx[v]) & 1
-            amp = amp * np.where(a_v == 1, np.exp(1j * p.to_float()), 1.0)
-    for (u, v) in d.edges():
-        a_u = (bits >> idx[u]) & 1
-        a_v = (bits >> idx[v]) & 1
-        amp = amp * np.where((a_u & a_v) == 1, -1.0, 1.0)
+            angle += p.to_float() * a_v
+        later = sum(1 << idx[w] for w in d.neighbors(v) if idx[w] > i)
+        if later:  # a_v times the number of later neighbours set to 1
+            odd ^= np.bitwise_count(bits & later) & a_v
+    amp = np.exp(1j * angle)
+    np.negative(amp, out=amp, where=(odd & 1).astype(bool))
 
+    # bit ``pos`` of the entry's flat index y * 2**ni + x is boundary wire
+    # ``pos``, inputs first; a plain wire copies its spider's value there
     ni, no = len(d.inputs), len(d.outputs)
-    out = np.zeros((1 << no, 1 << ni), dtype=complex)
+    wires = zip(d.inputs + d.outputs, d.input_hadamard + d.output_hadamard)
+    flat = np.zeros(size, dtype=np.int64)
+    had = []
+    for pos, (v, flagged) in enumerate(wires):
+        if flagged:
+            had.append((pos, idx[v]))
+        else:
+            flat |= ((bits >> idx[v]) & 1) << pos
 
-    plain_in = [(i, idx[v]) for i, v in enumerate(d.inputs) if not d.input_hadamard[i]]
-    had_in = [(i, idx[v]) for i, v in enumerate(d.inputs) if d.input_hadamard[i]]
-    plain_out = [(i, idx[v]) for i, v in enumerate(d.outputs) if not d.output_hadamard[i]]
-    had_out = [(i, idx[v]) for i, v in enumerate(d.outputs) if d.output_hadamard[i]]
-
-    x_base = np.zeros(size, dtype=np.int64)
-    for pos, b in plain_in:
-        x_base |= (((bits >> b) & 1) << pos)
-    y_base = np.zeros(size, dtype=np.int64)
-    for pos, b in plain_out:
-        y_base |= (((bits >> b) & 1) << pos)
-
-    had = had_in + had_out
-    nh = len(had)
-    for combo in range(1 << nh):
-        w = amp
-        x = x_base
-        y = y_base
-        for j, (pos, b) in enumerate(had_in):
-            val = (combo >> j) & 1
-            if val:
-                x = x | (1 << pos)
-                w = w * np.where(((bits >> b) & 1) == 1, -1.0, 1.0)
-        for j, (pos, b) in enumerate(had_out):
-            val = (combo >> (len(had_in) + j)) & 1
-            if val:
-                y = y | (1 << pos)
-                w = w * np.where(((bits >> b) & 1) == 1, -1.0, 1.0)
-        np.add.at(out, (y, x), w)
-    return out
+    # a flagged wire sums its free end over 0/1, with a sign when both ends are 1
+    out = np.zeros(1 << (ni + no), dtype=complex)
+    for combo in range(1 << len(had)):
+        chosen = [h for j, h in enumerate(had) if (combo >> j) & 1]
+        neg = (np.bitwise_count(bits & sum(1 << b for _, b in chosen)) & 1).astype(bool)
+        w = np.where(neg, -amp, amp)
+        target = flat | sum(1 << pos for pos, _ in chosen)
+        out += np.bincount(target, w.real, out.size) + 1j * np.bincount(target, w.imag, out.size)
+    return out.reshape(1 << no, 1 << ni)
 
 
 def equal_up_to_scalar(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:

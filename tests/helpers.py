@@ -114,11 +114,11 @@ def native_unitary(ops, n: int) -> np.ndarray:
             u *= diag[:, None]
             diag[:] = 1
             ry = ry_matrix(op.theta).real
+            ry2 = np.kron(ry, ry)
             r = u.view(np.float64)
             for q in range(0, n, 2):
                 k = min(2, n - q)
-                m = np.kron(ry, ry) if k == 2 else ry
-                r = np.matmul(m, r.reshape(1 << (n - q - k), 1 << k, -1))
+                r = np.matmul(ry2 if k == 2 else ry, r.reshape(1 << (n - q - k), 1 << k, -1))
             u = r.reshape(1 << n, -1).view(np.complex128)
         elif isinstance(op, RzLayer):
             for q, a in op.angles.items():

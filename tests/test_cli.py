@@ -207,3 +207,33 @@ def test_suite_without_qasm_files(tmp_path, capsys, make):
     assert rc == 1
     rep = json.loads(capsys.readouterr().out)
     assert rep == {"error": f"no .qasm files in directory {d}"}
+
+
+def test_suite_parses_and_builds_reference_once_per_file(tmp_path, capsys, monkeypatch):
+    import zxna.cli as cli
+
+    calls = {"parse": 0, "unitary": 0}
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "parse_qasm", counted("parse", cli.parse_qasm))
+    monkeypatch.setattr(cli, "circuit_unitary", counted("unitary", cli.circuit_unitary))
+    d = tmp_path / "bench"
+    d.mkdir()
+    (d / "a.qasm").write_text(SIMPLE)
+    (d / "b.qasm").write_text("OPENQASM 2.0;\nqreg q[2];\nh q[0];\ncx q[0],q[1];\n")
+    (d / "c.qasm").write_text(BROKEN)
+    pipelines = ["zx-with-insert", "zx-no-insert", "no-decomp"]
+    rc = main(["suite", str(d), *(a for p in pipelines for a in ("--pipeline", p)), "--verify", "--format", "json"])
+    assert rc == 1
+    rows = json.loads(capsys.readouterr().out)
+    # one reference per good file plus one unitary per output
+    assert calls == {"parse": 3, "unitary": 2 + 2 * len(pipelines)}
+    assert all(r["verified"] is True for r in rows if "counts" in r)
+    errors = [r for r in rows if "error" in r]
+    assert [(r["file"], r["pipeline"]) for r in errors] == [("c.qasm", p) for p in pipelines]
+    assert len({r["error"] for r in errors}) == 1
