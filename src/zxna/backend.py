@@ -197,6 +197,9 @@ def _euler_layers(layers: list) -> list:
 
 def _reassign(layers: list, eulers: list, max_passes: int = 20) -> None:
     """Core of ``greedy_assign``: every move carries a unitary and its triple together."""
+    # qubits of each multi-qubit layer; moves touch only the single-qubit layers
+    busy = [None if i % 2 == 0 else {q for op in lay for q in op.qubits}
+            for i, lay in enumerate(layers)]
     for _ in range(max_passes):
         moved = False
         for i in range(0, len(layers), 2):
@@ -209,8 +212,7 @@ def _reassign(layers: list, eulers: list, max_passes: int = 20) -> None:
                 for step in (-2, 2):
                     j = i + step
                     while 0 <= j < len(layers):
-                        mid = layers[j - step // 2]  # the odd layer crossed
-                        if any(q in op.qubits for op in mid):
+                        if q in busy[j - step // 2]:  # the odd layer crossed
                             break
                         if q not in layers[j]:
                             tj = max((e[1] for e in eulers[j].values()), default=0.0)
@@ -310,10 +312,11 @@ def execution_time(ops, config: TimeConfig = TimeConfig()) -> float:
     """Linear-in-angle time model; Rz layers parallel, NCP gates sequential."""
     t = 0.0
     for op in ops:
-        if isinstance(op, RzLayer):
+        kind = type(op)
+        if kind is RzLayer:
             if op.angles:
-                t += max(abs(a) for a in op.angles.values()) / math.pi * config.rz
-        elif isinstance(op, GR):
+                t += max(map(abs, op.angles.values())) / math.pi * config.rz
+        elif kind is GR:
             t += abs(op.theta) / math.pi * config.gr
         else:
             scale = config.cp if len(op.qubits) == 2 else config.ncp

@@ -133,11 +133,12 @@ def rationalize_angle(value: float, literal: str | None = None) -> Phase:
     """Convert a numeric angle in radians into an exact :class:`Phase`.
 
     Uses continued-fraction approximation of ``value/pi`` with a bounded
-    denominator.  Raises ``ValueError`` if no fraction reproduces the value
-    within tolerance, naming the offending literal.
+    denominator.  Raises ``ValueError`` if the value is not finite or no
+    fraction reproduces it within tolerance, naming the offending literal.
     """
-    f = Fraction(value / math.pi).limit_denominator(MAX_DENOMINATOR)
-    if abs(float(f) * math.pi - value) > RATIONALIZE_TOL:
-        what = literal if literal is not None else repr(value)
-        raise ValueError(f"cannot express angle {what} as a rational multiple of pi")
-    return Phase(f)
+    if math.isfinite(value):
+        f = Fraction(value / math.pi).limit_denominator(MAX_DENOMINATOR)
+        if abs(float(f) * math.pi - value) <= RATIONALIZE_TOL:
+            return Phase(f)
+    what = literal if literal is not None else repr(value)
+    raise ValueError(f"cannot express angle {what} as a rational multiple of pi")

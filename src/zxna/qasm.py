@@ -7,23 +7,25 @@ knows the multi-controlled phase family ``ncp<m>``/``ncz<m>``/``mcp``/
 ``mcphase``, which round-trips through opaque declarations (a name's digits
 fix its qubit count), and user gate definitions, expanded at call sites.  A
 gate body may call only built-ins, that family and gates defined before it.
-
 The reader also handles qreg/creg declarations, ``include``, ``barrier``
 (ignored) and trailing measurements (stripped to metadata).  Gate calls on
-bare registers broadcast in the usual way.  Angle expressions are evaluated
-exactly as rational multiples of pi whenever possible; decimal literals are
-rationalized by continued fractions.  Malformed input always raises
-:class:`QasmError` with the line and column of the offending token; a
+bare registers broadcast in the usual way.
+
+The text is read as one token stream: one ``findall`` gives the token
+strings and a final ``""`` for the end of input.  The parser walks that list
+by index and keeps no positions: a :class:`QasmError` works out its line and
+column from its token's index when it is raised.  Every malformed input
+raises one; a bad character anywhere comes before any parse error, and a
 statement nested deeper than the Python stack allows is reported at its
-first token.
+first token.  Angles are exact multiples of pi over Python ints whenever
+possible; other values are rationalized by continued fractions.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from collections import namedtuple
-from fractions import Fraction
+from itertools import islice
 from typing import Optional
 
 from .circuit import Circuit, Gate
@@ -41,39 +43,19 @@ class QasmError(ValueError):
         self.col = col
 
 
+#: Whitespace and comments, then one token: an identifier, an operator, a
+#: real, an integer, a string, a character that starts no token, or "" at the
+#: end.  Only ``->`` and ``-``, and reals and integers, share a first
+#: character; the longer form comes first.
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+|//[^\n]*)
-      | (?P<real>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)
-      | (?P<int>\d+)
-      | (?P<id>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<str>"[^"]*")
-      | (?P<op>->|[{}()\[\],;+\-*/])
-      | (?P<bad>.)
-    """,
+    r"""\s*(?://[^\n]*\s*)*
+    ( [A-Za-z_][A-Za-z0-9_]* | ->|[{}()\[\],;+\-*/]
+    | \d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+ | \d+
+    | "[^"]*" | . | \Z )""",
     re.VERBOSE | re.DOTALL,
 )
-
-
-_Token = namedtuple("_Token", "kind text line col")
-
-
-def _tokenize(text: str) -> list[_Token]:
-    """Tokens of ``text``, ending with an ``eof`` token at the end of the text."""
-    toks = []
-    line, start = 1, 0  # current line and the offset where it starts
-    for m in _TOKEN_RE.finditer(text):
-        kind, val = m.lastgroup, m.group()
-        if kind == "ws":
-            if "\n" in val:
-                line += val.count("\n")
-                start = m.start() + val.rfind("\n") + 1
-            continue
-        col = m.start() - start + 1
-        if kind == "bad":
-            raise QasmError(f"unexpected character {val!r}", line, col)
-        toks.append(_Token(kind, val, line, col))
-    toks.append(_Token("eof", "", line, len(text) - start + 1))
-    return toks
+_ID_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_ONE_CHAR_TOKEN = re.compile(r"[A-Za-z_{}()\[\],;+\-*/]|\d")
 
 
 #: QASM name -> (IR kind, parameter count, qubit count).  Kind ``None`` drops
@@ -95,39 +77,19 @@ _QASM_NAMES = {(kind, nq): name for name, (kind, _, nq) in reversed(_GATES.items
 _NCP_NAME = re.compile(r"^(ncp|ncz|mcphase|mcp)(\d*)$")
 
 
-class _Cursor:
-    """A position in a token list that ends with an ``eof`` token."""
+class _Parser:
+    """Recursive-descent reader over the token list of one program."""
 
-    def __init__(self, toks: list[_Token]):
-        self.toks = toks
-        self.pos = 0
-
-    def peek(self) -> _Token:
-        return self.toks[self.pos]
-
-    def next(self) -> _Token:
-        t = self.toks[self.pos]
-        if t.kind == "eof":
-            raise QasmError("unexpected end of input", t.line, t.col)
-        self.pos += 1
-        return t
-
-    def accept(self, text: str) -> bool:
-        if self.toks[self.pos].text == text:
-            self.pos += 1
-            return True
-        return False
-
-    def expect(self, text: str) -> _Token:
-        t = self.next()
-        if t.text != text:
-            raise QasmError(f"expected {text!r}, found {t.text!r}", t.line, t.col)
-        return t
-
-
-class _Parser(_Cursor):
     def __init__(self, text: str):
-        super().__init__(_tokenize(text))
+        self.text = text
+        self.toks = _TOKEN_RE.findall(text)
+        bad = [t for t in set(self.toks) if len(t) == 1 and not _ONE_CHAR_TOKEN.match(t)]
+        if bad:
+            i = min(map(self.toks.index, bad))
+            raise self.error(f"unexpected character {self.toks[i]!r}", i)
+        self.pos = 0
+        self.end = self.toks.index("")  # the token that reads as the end of input
+        self.env: dict[str, _Val] = {}  # gate parameter values while expanding a definition
         self.qregs: dict[str, tuple[int, int]] = {}  # name -> (first qubit, size)
         self.cregs: dict[str, tuple[int, int]] = {}  # name -> (0, size): bits count per register
         self.defs: dict[str, tuple] = {}  # name -> (param names, arg names, body)
@@ -136,55 +98,84 @@ class _Parser(_Cursor):
         self.measures: list[tuple[int, int]] = []
         self.num_qubits = 0
 
+    def error(self, msg: str, i: int) -> QasmError:
+        """An error at token ``i``; only the newlines between tokens count as lines."""
+        line, start = 1, 0  # current line and the offset where it starts
+        for m in islice(_TOKEN_RE.finditer(self.text), i + 1):
+            gap = self.text.count("\n", m.start(), m.start(1))
+            if gap:
+                line += gap
+                start = self.text.rfind("\n", m.start(), m.start(1)) + 1
+        return QasmError(msg, line, m.start(1) - start + 1)
+
     # -- scanners ----------------------------------------------------------
 
-    def expect_id(self) -> _Token:
-        t = self.next()
-        if t.kind != "id":
-            raise QasmError(f"expected identifier, found {t.text!r}", t.line, t.col)
+    def next(self) -> str:
+        if self.pos == self.end:
+            raise self.error("unexpected end of input", self.pos)
+        self.pos += 1
+        return self.toks[self.pos - 1]
+
+    def accept(self, text: str) -> bool:
+        if self.toks[self.pos] == text:
+            self.pos += 1
+            return True
+        return False
+
+    def expected(self, what: str) -> QasmError:
+        t = self.toks[self.pos]
+        msg = "unexpected end of input" if self.pos == self.end else f"expected {what}, found {t!r}"
+        return self.error(msg, self.pos)
+
+    def expect(self, text: str) -> None:
+        if self.toks[self.pos] != text:
+            raise self.expected(repr(text))
+        self.pos += 1
+
+    def expect_id(self) -> str:
+        t = self.toks[self.pos]
+        if t[:1] not in _ID_START:
+            raise self.expected("identifier")
+        self.pos += 1
         return t
 
     def id_list(self) -> list[str]:
-        names = [self.expect_id().text]
+        names = [self.expect_id()]
         while self.accept(","):
-            names.append(self.expect_id().text)
+            names.append(self.expect_id())
         return names
 
-    def paren_groups(self) -> list[list[_Token]]:
-        """Token lists of a parenthesised, comma-separated list; [] when there is none.
-
-        Each list ends with an ``eof`` token at the delimiter that closed it.
-        """
+    def paren_groups(self) -> list[tuple[int, int]]:
+        """Spans ``(start, end)`` of a parenthesised, comma-separated list, ``end`` at its delimiter."""
         if not self.accept("(") or self.accept(")"):
             return []
-        groups, cur, depth = [], [], 0
+        spans, start, depth = [], self.pos, 0
         while True:
             t = self.next()
-            if t.text == ";":
-                raise QasmError("expected ')', found ';'", t.line, t.col)
-            if depth == 0 and t.text in (",", ")"):
-                cur.append(_Token("eof", "", t.line, t.col))
-                groups.append(cur)
-                if t.text == ")":
-                    return groups
-                cur = []
-                continue
-            depth += (t.text == "(") - (t.text == ")")
-            cur.append(t)
+            if t == ";":
+                raise self.error("expected ')', found ';'", self.pos - 1)
+            if depth == 0 and (t == "," or t == ")"):
+                spans.append((start, self.pos - 1))
+                if t == ")":
+                    return spans
+                start = self.pos
+            else:
+                depth += (t == "(") - (t == ")")
 
     def index(self, what: str = "index") -> int:
         self.expect("[")
-        t = self.next()
-        if t.kind != "int":
-            raise QasmError(f"{what} must be an integer", t.line, t.col)
+        t = self.toks[self.pos]
+        if not t.isdecimal():
+            raise self.error(f"{what} must be an integer" if t else "unexpected end of input", self.pos)
+        self.pos += 1
         self.expect("]")
-        return int(t.text)
+        return int(t)
 
     def index_opt(self) -> Optional[int]:
-        return self.index() if self.peek().text == "[" else None
+        return self.index() if self.toks[self.pos] == "[" else None
 
     def skip_statement(self) -> None:
-        while self.next().text != ";":
+        while self.next() != ";":
             pass
 
     # -- program -----------------------------------------------------------
@@ -192,38 +183,35 @@ class _Parser(_Cursor):
     def parse(self) -> Circuit:
         if self.accept("OPENQASM"):
             v = self.next()
-            if v.text not in ("2.0", "2"):
-                raise QasmError(f"unsupported OPENQASM version {v.text}", v.line, v.col)
+            if v not in ("2.0", "2"):
+                raise self.error(f"unsupported OPENQASM version {v}", self.pos - 1)
             self.expect(";")
-        while self.peek().kind != "eof":
-            t = self.peek()
+        while self.toks[self.pos]:
+            at = self.pos
             try:
-                self.statement(t)
+                self.statement(at)
             except RecursionError:  # nested parentheses, unary signs or gate calls
-                raise QasmError("statement nested too deeply", t.line, t.col) from None
+                raise self.error("statement nested too deeply", at) from None
         if self.num_qubits == 0:
-            t = self.peek()
-            raise QasmError("no qubits declared", t.line, t.col)
+            raise self.error("no qubits declared", self.pos)
         return Circuit(self.num_qubits, tuple(self.gates), tuple(self.measures))
 
-    def statement(self, t: _Token) -> None:
-        name = t.text
+    def statement(self, at: int) -> None:
+        name = self.toks[at]
         if name == "include":
             self.next()
             self.next()
             self.expect(";")
         elif name in ("qreg", "creg"):
             self.next()
-            reg = self.expect_id().text
+            reg = self.expect_id()
             n = self.index("register size")
             self.expect(";")
-            if name == "creg":
-                self.cregs[reg] = (0, n)
-            elif reg in self.qregs:
-                raise QasmError(f"duplicate qreg {reg!r}", t.line, t.col)
-            else:
-                self.qregs[reg] = (self.num_qubits, n)
-                self.num_qubits += n
+            regs = self.qregs if name == "qreg" else self.cregs
+            if reg in regs:
+                raise self.error(f"duplicate {name} {reg!r}", at)
+            regs[reg] = (self.num_qubits if name == "qreg" else 0, n)
+            self.num_qubits += n if name == "qreg" else 0
         elif name == "barrier":
             self.skip_statement()
         elif name == "gate":
@@ -231,44 +219,44 @@ class _Parser(_Cursor):
         elif name == "opaque":
             self.opaque_def()
         elif name == "measure":
-            self.measure_stmt(t)
+            self.measure_stmt(at)
         elif name in ("reset", "if"):
-            raise QasmError(f"unsupported feature: {name}", t.line, t.col)
-        elif t.kind == "id":
-            self.gate_call(t)
+            raise self.error(f"unsupported feature: {name}", at)
+        elif name[0] in _ID_START:
+            self.gate_call(at)
         else:
-            raise QasmError(f"unexpected token {name!r}", t.line, t.col)
+            raise self.error(f"unexpected token {name!r}", at)
 
-    def select(self, regs: dict, reg: str, idx: Optional[int], at: _Token) -> range:
+    def select(self, regs: dict, reg: str, idx: Optional[int], at: int) -> range:
         """Indices named by ``reg`` (``idx is None``) or ``reg[idx]``."""
         first, size = regs[reg]
         if idx is None:
             return range(first, first + size)
         if idx >= size:
-            raise QasmError(f"index {idx} out of range for {reg!r}", at.line, at.col)
+            raise self.error(f"index {idx} out of range for {reg!r}", at)
         return range(first + idx, first + idx + 1)
 
-    def measure_stmt(self, t: _Token) -> None:
+    def measure_stmt(self, at: int) -> None:
         self.next()
-        qreg, q_idx = self.expect_id().text, self.index_opt()
+        qreg, q_idx = self.expect_id(), self.index_opt()
         self.expect("->")
-        creg, c_idx = self.expect_id().text, self.index_opt()
+        creg, c_idx = self.expect_id(), self.index_opt()
         self.expect(";")
         if qreg not in self.qregs or creg not in self.cregs:
-            raise QasmError("unknown register in measure", t.line, t.col)
+            raise self.error("unknown register in measure", at)
         if (q_idx is None) != (c_idx is None):
-            raise QasmError("measure register/bit mismatch", t.line, t.col)
-        qubits = self.select(self.qregs, qreg, q_idx, t)
-        bits = self.select(self.cregs, creg, c_idx, t)
+            raise self.error("measure register/bit mismatch", at)
+        qubits = self.select(self.qregs, qreg, q_idx, at)
+        bits = self.select(self.cregs, creg, c_idx, at)
         if len(qubits) != len(bits):
-            raise QasmError("mismatched register lengths", t.line, t.col)
+            raise self.error("mismatched register lengths", at)
         self.measures.extend(zip(qubits, bits))
 
     # -- gate definitions --------------------------------------------------
 
     def gate_def(self) -> None:
         self.next()
-        name = self.expect_id().text
+        name = self.expect_id()
         params = []
         if self.accept("(") and not self.accept(")"):
             params = self.id_list()
@@ -277,32 +265,33 @@ class _Parser(_Cursor):
         self.expect("{")
         body = []
         while not self.accept("}"):
-            t = self.peek()
-            if t.text == "barrier":
+            at = self.pos
+            if self.toks[at] == "barrier":
                 self.skip_statement()
                 continue
-            self.expect_id()
-            pexprs = self.paren_groups()
+            call = self.expect_id()
+            spans = self.paren_groups()
             gargs = self.id_list()
             self.expect(";")
-            if t.text not in _GATES and t.text not in self.defs and self.ncp_spec(t.text, 0) is None:
-                what = "calls itself" if t.text == name else f"calls undefined gate {t.text!r}"
-                raise QasmError(f"gate {name!r} {what}", t.line, t.col)
+            if call not in _GATES and call not in self.defs and self.ncp_spec(call, 0) is None:
+                what = "calls itself" if call == name else f"calls undefined gate {call!r}"
+                raise self.error(f"gate {name!r} {what}", at)
             for a in gargs:
                 if a not in args:
-                    raise QasmError(f"unknown gate argument {a!r}", t.line, t.col)
-            body.append((t, pexprs, gargs))
+                    raise self.error(f"unknown gate argument {a!r}", at)
+            body.append((at, spans, gargs))
         self.defs[name] = (params, args, body)
 
     def opaque_def(self) -> None:
+        at = self.pos + 1
         self.next()
-        t = self.expect_id()
+        name = self.expect_id()
         self.paren_groups()
         self.id_list()
         self.expect(";")
-        if _NCP_NAME.match(t.text) is None:
-            raise QasmError(f"unsupported opaque gate {t.text!r}", t.line, t.col)
-        self.opaque.add(t.text)
+        if _NCP_NAME.match(name) is None:
+            raise self.error(f"unsupported opaque gate {name!r}", at)
+        self.opaque.add(name)
 
     def ncp_spec(self, name: str, called: int) -> Optional[tuple]:
         """``_GATES`` entry of a multi-controlled phase family name, else None.
@@ -321,40 +310,54 @@ class _Parser(_Cursor):
 
     # -- gate calls --------------------------------------------------------
 
-    def gate_call(self, tok: _Token) -> None:
-        self.next()
-        params = [_ExprEval(toks, {}).parse() for toks in self.paren_groups()]
-        targets = [self.qubit_arg()]
+    def gate_call(self, at: int) -> None:
+        self.pos += 1
+        params = [self.value(span, {}) for span in self.paren_groups()]
+        args = [self.qubit_arg()]
         while self.accept(","):
-            targets.append(self.qubit_arg())
+            args.append(self.qubit_arg())
         self.expect(";")
         if self.measures:
-            raise QasmError("unsupported feature: gate after measure", tok.line, tok.col)
-        # broadcast bare-register arguments
-        lens = {len(t) for t in targets if len(t) != 1}
-        if len(lens) > 1:
-            raise QasmError("mismatched register lengths", tok.line, tok.col)
-        for i in range(lens.pop() if lens else 1):
-            self.emit(tok.text, params, [t[i] if len(t) != 1 else t[0] for t in targets], tok)
+            raise self.error("unsupported feature: gate after measure", at)
+        name = self.toks[at]
+        if range not in map(type, args):
+            return self.emit(name, params, args, at)
+        # broadcast bare-register arguments; one of size 1 acts as its qubit
+        sizes = {len(a) for a in args if type(a) is range} - {1}
+        if len(sizes) > 1:
+            raise self.error("mismatched register lengths", at)
+        for i in range(sizes.pop() if sizes else 1):
+            self.emit(name, params, [a if type(a) is int else a[i if len(a) != 1 else 0] for a in args], at)
 
-    def qubit_arg(self) -> range:
-        t = self.expect_id()
-        if t.text not in self.qregs:
-            raise QasmError(f"unknown qubit register {t.text!r}", t.line, t.col)
-        return self.select(self.qregs, t.text, self.index_opt(), t)
+    def qubit_arg(self) -> int | range:
+        """The qubit of ``reg[idx]``, or the qubits of a bare register ``reg``."""
+        at = self.pos
+        reg = self.expect_id()
+        if reg not in self.qregs:
+            raise self.error(f"unknown qubit register {reg!r}", at)
+        first, size = self.qregs[reg]
+        if self.toks[self.pos] != "[":
+            return range(first, first + size)
+        idx = self.index()
+        if idx >= size:
+            raise self.error(f"index {idx} out of range for {reg!r}", at)
+        return first + idx
 
-    def emit(self, name: str, params: list[_Val], qubits: list[int], tok: _Token) -> None:
+    def emit(self, name: str, params: list[_Val], qubits: list[int], at: int) -> None:
         if len(set(qubits)) != len(qubits):
-            raise QasmError("duplicate qubit argument", tok.line, tok.col)
+            raise self.error("duplicate qubit argument", at)
         spec = _GATES.get(name) or self.ncp_spec(name, len(qubits))
         if spec is None:
             if name not in self.defs:
-                raise QasmError(f"unknown gate {name!r}", tok.line, tok.col)
-            return self.expand(self.defs[name], params, qubits, tok)
+                raise self.error(f"unknown gate {name!r}", at)
+            return self.expand(self.defs[name], params, qubits, at)
         kind, np_, nq = spec
         if len(params) != np_ or len(qubits) != nq:
-            raise QasmError(f"{name} expects {np_} parameter(s) and {nq} qubit(s)", tok.line, tok.col)
-        phases = [v.to_phase(tok) for v in params]
+            raise self.error(f"{name} expects {np_} parameter(s) and {nq} qubit(s)", at)
+        try:
+            phases = [v.to_phase() for v in params] if params else ()
+        except ValueError as e:
+            raise self.error(str(e), at) from None
         if kind == "u2":
             self._u3(Phase(1, 2), *phases, qubits[0])
         elif kind == "u3":
@@ -370,137 +373,133 @@ class _Parser(_Cursor):
 
     def _u3(self, theta: Phase, phi: Phase, lam: Phase, q: int) -> None:
         # u3(theta, phi, lam) = Rz(phi) Ry(theta) Rz(lam) up to global phase
-        if not lam.is_zero():
-            self.gates.append(Gate("Rz", (q,), lam))
-        if not theta.is_zero():
-            self.gates.append(Gate("Ry", (q,), theta))
-        if not phi.is_zero():
-            self.gates.append(Gate("Rz", (q,), phi))
+        for kind, angle in (("Rz", lam), ("Ry", theta), ("Rz", phi)):
+            if not angle.is_zero():
+                self.gates.append(Gate(kind, (q,), angle))
 
-    def expand(self, gdef: tuple, params: list[_Val], qubits: list[int], tok: _Token) -> None:
+    def expand(self, gdef: tuple, params: list[_Val], qubits: list[int], at: int) -> None:
         pnames, qnames, body = gdef
         if len(params) != len(pnames) or len(qubits) != len(qnames):
-            raise QasmError("gate call arity mismatch", tok.line, tok.col)
+            raise self.error("gate call arity mismatch", at)
         penv = dict(zip(pnames, params))
         qenv = dict(zip(qnames, qubits))
-        for t, pexprs, gargs in body:
-            sub_params = [_ExprEval(toks, penv).parse() for toks in pexprs]
-            self.emit(t.text, sub_params, [qenv[a] for a in gargs], t)
+        for call, spans, gargs in body:
+            sub_params = [self.value(span, penv) for span in spans]
+            self.emit(self.toks[call], sub_params, [qenv[a] for a in gargs], call)
 
+    # -- angle expressions -------------------------------------------------
 
-class _ExprEval(_Cursor):
-    """Recursive-descent evaluator for one angle expression.
-
-    Values are :class:`_Val` pairs ``coef*pi + const``.  They stay exact
-    Fractions through sums, and through products with and divisions by a
-    plain rational number; a decimal literal, a product of two pi terms or
-    a division by a pi term falls back to a float.  ``env`` maps gate
-    parameter names to their values.
-    """
-
-    def __init__(self, toks: list[_Token], env: dict[str, _Val]):
-        super().__init__(toks)
-        self.env = env
-
-    def parse(self) -> _Val:
+    def value(self, span: tuple[int, int], env: dict[str, _Val]) -> _Val:
+        """The angle in a span from :meth:`paren_groups`, whose delimiter reads as the end of input."""
+        saved = self.pos, self.end, self.env
+        (self.pos, self.end), self.env = span, env
         v = self.expr()
-        t = self.peek()
-        if t.kind != "eof":
-            raise QasmError(f"trailing tokens in expression: {t.text!r}", t.line, t.col)
+        if self.pos != self.end:
+            raise self.error(f"trailing tokens in expression: {self.toks[self.pos]!r}", self.pos)
+        self.pos, self.end, self.env = saved
         return v
 
     def expr(self) -> _Val:
         v = self.term()
-        while self.peek().text in ("+", "-"):
-            op = self.next().text
+        while self.toks[self.pos] in ("+", "-"):
+            op = self.next()
             w = self.term()
             v = v.add(w) if op == "+" else v.add(w.neg())
         return v
 
     def term(self) -> _Val:
         v = self.unary()
-        while self.peek().text in ("*", "/"):
+        while self.toks[self.pos] in ("*", "/"):
+            at = self.pos
             op = self.next()
             w = self.unary()
-            v = v.mul(w) if op.text == "*" else v.div(w, op)
+            try:
+                v = v.mul(w) if op == "*" else v.div(w)
+            except ZeroDivisionError:
+                raise self.error("division by zero in expression", at) from None
         return v
 
     def unary(self) -> _Val:
-        if self.accept("-"):
-            return self.unary().neg()
-        if self.accept("+"):
-            return self.unary()
+        t = self.toks[self.pos]
+        if t == "-" or t == "+":
+            self.pos += 1
+            v = self.unary()
+            return v.neg() if t == "-" else v
         return self.atom()
 
     def atom(self) -> _Val:
         t = self.next()
-        if t.text == "(":
+        if t == "(":
             v = self.expr()
             self.expect(")")
             return v
-        if t.kind == "int":
-            return _Val(Fraction(0), Fraction(int(t.text)))
-        if t.kind == "real":
-            return _Val(Fraction(0), float(t.text))
-        if t.kind == "id":
-            if t.text == "pi":
-                return _Val(Fraction(1), Fraction(0))
-            if t.text in self.env:
-                return self.env[t.text]
-            if t.text in ("sin", "cos", "tan", "exp", "ln", "sqrt"):
-                raise QasmError(f"unsupported function {t.text!r}", t.line, t.col)
-            raise QasmError(f"unknown symbol {t.text!r} in expression", t.line, t.col)
-        raise QasmError(f"unexpected token {t.text!r} in expression", t.line, t.col)
+        if t[0] in _ID_START:
+            if t == "pi":
+                return _Val(1, 0, 1)
+            if t in self.env:
+                return self.env[t]
+            if t in ("sin", "cos", "tan", "exp", "ln", "sqrt"):
+                raise self.error(f"unsupported function {t!r}", self.pos - 1)
+            raise self.error(f"unknown symbol {t!r} in expression", self.pos - 1)
+        if t[0].isdecimal() or t[0] == ".":  # a lone "." is a bad character
+            return _Val(0, int(t), 1) if t.isdecimal() else _Val(0, float(t), 0)
+        raise self.error(f"unexpected token {t!r} in expression", self.pos - 1)
+
+
+def _ratio(n: int, d: int) -> float:
+    """``n / d`` as a float; beyond the float range, an infinity of its sign."""
+    try:
+        return n / d
+    except OverflowError:
+        return math.inf if n > 0 else -math.inf
 
 
 class _Val:
-    """coef * pi + const; coef is Fraction, const is Fraction or float."""
+    """``(cn*pi + kn) / den`` over ints with ``den > 0``, or the float ``kn`` when ``den`` is 0."""
 
-    __slots__ = ("coef", "const")
+    __slots__ = ("cn", "kn", "den")
 
-    def __init__(self, coef: Fraction, const):
-        self.coef = coef
-        self.const = const
-
-    def is_exact(self) -> bool:
-        return isinstance(self.const, Fraction)
+    def __init__(self, cn: int, kn, den: int):
+        if den:  # exact: to lowest terms with a positive denominator
+            g = math.gcd(cn, kn, den) * (1 if den > 0 else -1)
+            cn, kn, den = cn // g, kn // g, den // g
+        self.cn, self.kn, self.den = cn, kn, den
 
     def to_float(self) -> float:
-        return float(self.coef) * math.pi + float(self.const)
+        if self.den:
+            return _ratio(self.cn, self.den) * math.pi + _ratio(self.kn, self.den)
+        return self.kn
 
     def neg(self) -> _Val:
-        return _Val(-self.coef, -self.const)
+        return _Val(-self.cn, -self.kn, self.den)
 
     def add(self, o: _Val) -> _Val:
-        if self.is_exact() and o.is_exact():
-            return _Val(self.coef + o.coef, self.const + o.const)
-        return _Val(Fraction(0), self.to_float() + o.to_float())
+        if self.den and o.den:
+            d, od = self.den, o.den
+            return _Val(self.cn * od + o.cn * d, self.kn * od + o.kn * d, d * od)
+        return _Val(0, self.to_float() + o.to_float(), 0)
 
     def mul(self, o: _Val) -> _Val:
         for a, b in ((self, o), (o, self)):
-            if a.is_exact() and a.coef == 0 and b.is_exact():
-                return _Val(b.coef * a.const, b.const * a.const)
-        return _Val(Fraction(0), self.to_float() * o.to_float())
+            if a.den and not a.cn and b.den:
+                return _Val(b.cn * a.kn, b.kn * a.kn, b.den * a.den)
+        return _Val(0, self.to_float() * o.to_float(), 0)
 
-    def div(self, o: _Val, tok: _Token) -> _Val:
-        if o.is_exact() and o.coef == 0:
-            if o.const == 0:
-                raise QasmError("division by zero in expression", tok.line, tok.col)
-            if self.is_exact():
-                return _Val(self.coef / o.const, self.const / o.const)
-        f = o.to_float()
-        if f == 0.0:
-            raise QasmError("division by zero in expression", tok.line, tok.col)
-        return _Val(Fraction(0), self.to_float() / f)
+    def div(self, o: _Val) -> _Val:
+        """``self / o``; ZeroDivisionError for a zero divisor."""
+        if o.den and not o.cn:
+            if not o.kn:
+                raise ZeroDivisionError
+            if self.den:
+                return _Val(self.cn * o.den, self.kn * o.den, self.den * o.kn)
+        return _Val(0, self.to_float() / o.to_float(), 0)
 
-    def to_phase(self, tok: _Token) -> Phase:
-        if self.is_exact() and self.const == 0:
-            return Phase(self.coef.numerator, self.coef.denominator)
+    def to_phase(self) -> Phase:
+        """The exact phase, or the float rationalized; ValueError when that fails."""
+        if self.den and not self.kn:
+            return Phase(self.cn, self.den)
         f = self.to_float()
-        try:
-            return rationalize_angle(f, literal=str(f))
-        except ValueError as e:
-            raise QasmError(str(e), tok.line, tok.col) from None
+        return rationalize_angle(f, literal=str(f))
 
 
 def parse_qasm(text: str) -> Circuit:

@@ -102,6 +102,17 @@ def test_run_truncated_file(tmp_path, capsys):
     assert "unexpected end of input" in rep["error"]
 
 
+def test_run_non_finite_angle(tmp_path, capsys):
+    f = tmp_path / "huge.qasm"
+    f.write_text("OPENQASM 2.0;\nqreg q[1];\nrz(1e400) q[0];\n")
+    rc = main(["run", str(f)])
+    assert rc == 1
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1  # one JSON line, no traceback
+    rep = json.loads(out)
+    assert rep["error"] == "line 3, col 1: cannot express angle inf as a rational multiple of pi"
+
+
 def test_run_time_config(qasm_file, tmp_path, capsys):
     cfg = tmp_path / "times.json"
     cfg.write_text(json.dumps({"gr": 1.0}))

@@ -83,6 +83,14 @@ def test_rationalize_failure_names_literal():
         rationalize_angle(bad, literal="tricky")
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_rationalize_non_finite_raises_value_error(value):
+    with pytest.raises(ValueError, match=f"cannot express angle {value!r} as a rational multiple of pi"):
+        rationalize_angle(value)
+    with pytest.raises(ValueError, match="cannot express angle lit as a rational multiple of pi"):
+        rationalize_angle(value, literal="lit")
+
+
 # Reference check of the int-pair representation against Fraction
 GRID_DENOMINATORS = (1, 2, 3, 4, 8, 1 << 20)
 

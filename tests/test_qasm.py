@@ -102,6 +102,29 @@ def test_decimal_angle_unrepresentable():
         parse_qasm(f"qreg q[1]; rz({bad:.17g}) q[0];")
 
 
+@pytest.mark.parametrize(
+    "angle, shown",
+    [
+        ("1e400", "inf"),
+        ("-1e400", "-inf"),
+        ("pi*1e308*10", "inf"),
+        ("1e400-1e400", "nan"),
+        ("1" + "0" * 400, "inf"),  # an exact integer beyond the float range
+        ("1e-300*1" + "0" * 400, "inf"),
+    ],
+    ids=["inf", "-inf", "pi-product", "nan", "huge-int", "huge-product"],
+)
+def test_non_finite_angle_is_a_qasm_error(angle, shown):
+    with pytest.raises(QasmError, match=f"cannot express angle {shown} as a rational multiple of pi") as e:
+        parse_qasm(f"qreg q[1];\nh q[0]; rz({angle}) q[0];")
+    assert (e.value.line, e.value.col) == (2, 9)
+
+
+def test_huge_exact_divisor_rounds_to_zero():
+    c = parse_qasm("qreg q[1]; rz(pi + 1.0/1" + "0" * 400 + ") q[0]; rz(pi - 1.0/-1" + "0" * 400 + ") q[0];")
+    assert [g.angle for g in c.gates] == [Phase(1), Phase(1)]
+
+
 def test_custom_gate_definition():
     qasm = """qreg q[2];
 gate foo(a) x, y { h x; cp(a/2) x, y; h x; }
@@ -206,6 +229,16 @@ def test_measure_bit_out_of_range():
     with pytest.raises(QasmError, match="index 3 out of range for 'c'") as e:
         parse_qasm("qreg q[2]; creg c[1]; measure q[0] -> c[3];")
     assert (e.value.line, e.value.col) == (1, 23)
+
+
+def test_duplicate_creg():
+    with pytest.raises(QasmError, match="duplicate creg 'c'") as e:
+        parse_qasm("qreg q[2]; creg c[2];\n creg c[1]; measure q -> c;")
+    assert (e.value.line, e.value.col) == (2, 2)
+    with pytest.raises(QasmError, match="duplicate qreg 'q'"):
+        parse_qasm("qreg q[2]; qreg q[1];")
+    # a classical and a quantum register may share a name
+    assert parse_qasm("qreg c[1]; creg c[1]; measure c[0] -> c[0];").measurements == ((0, 0),)
 
 
 def test_measure_register_sizes_differ():
@@ -326,3 +359,29 @@ def test_parse_digest():
         c = parse_qasm(text)
         h.update(repr((c.num_qubits, c.gates, c.measurements)).encode())
     assert h.hexdigest() == "20e7a00bff34e6129c1b4014770d2a07e287cd209d5946d250acd4da57797d31"
+
+
+def _edits(text):
+    """Every truncation, one-character deletion and ``@`` insertion of ``text``."""
+    for i in range(len(text) + 1):
+        yield text[:i]
+        yield text[:i] + text[i + 1:]
+        yield text[:i] + "@" + text[i:]
+
+
+def test_error_digest():
+    """Pin the message, line and column of every error on a corpus of damaged programs."""
+    h = hashlib.sha256()
+    outcomes = errors = 0
+    for text in _DIGEST_PROGRAMS:
+        for damaged in _edits(text):
+            try:
+                parse_qasm(damaged)
+                out = "ok"
+            except QasmError as e:
+                out = str(e)
+                errors += 1
+            outcomes += 1
+            h.update(out.encode() + b"\n")
+    assert (outcomes, errors) == (4392, 3695)
+    assert h.hexdigest() == "4b21ab44dcbc84465f7ffbbb836db264e78ea6ad23cca00f584b0b9d6b010891"
