@@ -13,20 +13,15 @@ composes them into one pending operator, a row permutation and a phase
 vector of length 2**n each, so such a gate costs O(2**n) and leaves the
 array alone.  The pending operator is written into the array, as one row
 gather and one row scale, before a gate that mixes basis states and at the
-end.  Of the mixing gates, H and Ry have real matrices and act as one real
-2x2 product over the array's float64 view; Rx goes through ``apply_gate``.
+end.  The mixing gates H, Rx and Ry share one kernel: a real 2x2 matrix
+acts as one product over the array's float64 view.  H and Ry are real, and
+Rx(t) = Sdg Ry(t) S, so an Rx gate multiplies the S phases (1, i) into the
+pending phases, applies Ry(t) and leaves the Sdg phases pending.
 H stays normalized: entries under a deferred (1/sqrt 2)**h scalar would
 grow as sqrt(2)**h and overflow after about 2,000 H gates.
 
 ``diagram_tensor`` adds the spider phases of each assignment into one
 angle and the edge signs into one parity, and takes one ``exp``.
-
-``apply_gate`` updates a ``(2**n, m)`` array in place through its
-``(2,)*n + (m,)`` view and picks a kernel from the gate matrix's structure:
-a diagonal matrix scales the sub-slices whose entry is not 1, a 0/1
-permutation matrix exchanges sub-slices, a dense one-qubit matrix mixes the
-two half-slices, and any other matrix is contracted over its qubit axes and
-written back.  Only that last, general kernel copies the whole array.
 """
 
 from __future__ import annotations
@@ -94,62 +89,6 @@ def gate_matrix(g: Gate) -> np.ndarray:
     raise ValueError(f"no matrix for gate kind {k!r}")
 
 
-def _sub(bits: int, qubits: tuple[int, ...], n: int) -> tuple:
-    """Index of the sub-array where gate qubit ``qubits[i]`` holds bit i of ``bits``."""
-    idx = [slice(None)] * n
-    for i, q in enumerate(qubits):
-        idx[n - 1 - q] = (bits >> i) & 1  # axis of qubit q is n - 1 - q
-    return tuple(idx)
-
-
-def apply_gate(state: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
-    """Apply a k-qubit gate matrix in place to a (2**n, m) array of column vectors.
-
-    ``state`` must be a C-contiguous complex128 array; it is updated and
-    returned.  ``qubits[0]`` is the gate matrix's least significant bit.
-    """
-    if state.dtype != np.complex128 or not state.flags.c_contiguous:
-        raise ValueError("state must be a C-contiguous complex128 array")
-    t = state.reshape((2,) * n + (state.shape[1],))
-    k = len(qubits)
-    diag = np.diagonal(mat)
-    if np.count_nonzero(mat) == np.count_nonzero(diag):  # diagonal
-        for j, d in enumerate(diag):
-            if d != 1:
-                t[_sub(j, qubits, n)] *= d
-    elif (np.all((mat == 0) | (mat == 1))
-          and np.all(mat.sum(axis=0) == 1) and np.all(mat.sum(axis=1) == 1)):
-        # permutation: basis state j goes to dest[j]; walk each cycle once
-        dest = np.argmax(mat, axis=0).tolist()
-        done: set[int] = set()
-        for start in range(1 << k):
-            if start in done or dest[start] == start:
-                continue
-            cycle = [start]
-            while dest[cycle[-1]] != start:
-                cycle.append(dest[cycle[-1]])
-            done.update(cycle)
-            last = t[_sub(cycle[-1], qubits, n)].copy()
-            for a, b in zip(cycle[:0:-1], cycle[-2::-1]):
-                t[_sub(a, qubits, n)] = t[_sub(b, qubits, n)]
-            t[_sub(start, qubits, n)] = last
-    elif k == 1:
-        # a 3-d view keeps each half-slice one strided block, which numpy walks faster
-        t3 = state.reshape(1 << (n - 1 - qubits[0]), 2, -1)
-        lo, hi = t3[:, 0], t3[:, 1]
-        old_lo = lo.copy()
-        lo *= mat[0, 0]
-        lo += mat[0, 1] * hi
-        hi *= mat[1, 1]
-        old_lo *= mat[1, 0]
-        hi += old_lo
-    else:
-        # gate's most significant bit is qubits[-1]
-        v = np.moveaxis(t, [n - 1 - q for q in reversed(qubits)], range(k))
-        v[...] = (mat @ v.reshape(1 << k, -1)).reshape(v.shape)
-    return state
-
-
 def apply_circuit(state: np.ndarray, c: Circuit) -> np.ndarray:
     """Return ``U @ state`` for the circuit's unitary U; ``state`` is left unchanged.
 
@@ -169,14 +108,17 @@ def apply_circuit(state: np.ndarray, c: Circuit) -> np.ndarray:
     for g in c.gates:
         kind, qs = g.kind, g.qubits
         if kind in ("H", "Rx", "Ry"):
+            if kind == "Rx":  # Rx(t) = Sdg Ry(t) S
+                s = _FIXED_1Q["S"].diagonal()[qbit[qs[0]]]
+                ph = s if ph is None else ph * s
+                g = Gate("Ry", qs, g.angle)
             u = _write_pending(u, src, ph)
             src = ph = None
-            mat = gate_matrix(g)
+            # a real matrix acts on the real and imaginary parts alike
+            r = u.view(np.float64).reshape(dim >> (qs[0] + 1), 2, -1)
+            u = np.matmul(gate_matrix(g).real, r).reshape(dim, -1).view(np.complex128)
             if kind == "Rx":
-                apply_gate(u, mat, qs, n)
-            else:  # a real matrix acts on the real and imaginary parts alike
-                r = u.view(np.float64).reshape(dim >> (qs[0] + 1), 2, -1)
-                u = np.matmul(mat.real, r).reshape(dim, -1).view(np.complex128)
+                ph = s.conj()
             continue
         if kind in ("X", "Y", "CX", "Swap"):
             if kind == "CX":

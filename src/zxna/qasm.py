@@ -99,14 +99,17 @@ class _Parser:
         self.num_qubits = 0
 
     def error(self, msg: str, i: int) -> QasmError:
-        """An error at token ``i``; only the newlines between tokens count as lines."""
-        line, start = 1, 0  # current line and the offset where it starts
-        for m in islice(_TOKEN_RE.finditer(self.text), i + 1):
-            gap = self.text.count("\n", m.start(), m.start(1))
-            if gap:
-                line += gap
-                start = self.text.rfind("\n", m.start(), m.start(1)) + 1
-        return QasmError(msg, line, m.start(1) - start + 1)
+        """An error at token ``i``, with the line and column where it starts."""
+        *_, m = islice(_TOKEN_RE.finditer(self.text), i + 1)
+        at = m.start(1)
+        return QasmError(msg, self.text.count("\n", 0, at) + 1, at - self.text.rfind("\n", 0, at))
+
+    def integer(self, digits: str, i: int) -> int:
+        """``int(digits)``, or an error at token ``i`` if it has more digits than ``int`` reads."""
+        try:
+            return int(digits)
+        except ValueError:
+            raise self.error(f"integer of {len(digits)} digits is too long", i) from None
 
     # -- scanners ----------------------------------------------------------
 
@@ -169,7 +172,7 @@ class _Parser:
             raise self.error(f"{what} must be an integer" if t else "unexpected end of input", self.pos)
         self.pos += 1
         self.expect("]")
-        return int(t)
+        return self.integer(t, self.pos - 2)
 
     def index_opt(self) -> Optional[int]:
         return self.index() if self.toks[self.pos] == "[" else None
@@ -273,7 +276,7 @@ class _Parser:
             spans = self.paren_groups()
             gargs = self.id_list()
             self.expect(";")
-            if call not in _GATES and call not in self.defs and self.ncp_spec(call, 0) is None:
+            if call not in _GATES and call not in self.defs and self.ncp_spec(call, 0, at) is None:
                 what = "calls itself" if call == name else f"calls undefined gate {call!r}"
                 raise self.error(f"gate {name!r} {what}", at)
             for a in gargs:
@@ -293,7 +296,7 @@ class _Parser:
             raise self.error(f"unsupported opaque gate {name!r}", at)
         self.opaque.add(name)
 
-    def ncp_spec(self, name: str, called: int) -> Optional[tuple]:
+    def ncp_spec(self, name: str, called: int, at: int) -> Optional[tuple]:
         """``_GATES`` entry of a multi-controlled phase family name, else None.
 
         ``ncp<m>`` acts on m qubits and names no gate for m < 2; an opaque
@@ -302,7 +305,7 @@ class _Parser:
         m = _NCP_NAME.match(name)
         if m is None or not (m.group(2) or name in self.opaque):
             return None
-        nq = int(m.group(2) or max(called, 2))
+        nq = self.integer(m.group(2), at) if m.group(2) else max(called, 2)
         if nq < 2:
             return None
         kind = "NCZ" if m.group(1) == "ncz" else "NCP"
@@ -346,7 +349,7 @@ class _Parser:
     def emit(self, name: str, params: list[_Val], qubits: list[int], at: int) -> None:
         if len(set(qubits)) != len(qubits):
             raise self.error("duplicate qubit argument", at)
-        spec = _GATES.get(name) or self.ncp_spec(name, len(qubits))
+        spec = _GATES.get(name) or self.ncp_spec(name, len(qubits), at)
         if spec is None:
             if name not in self.defs:
                 raise self.error(f"unknown gate {name!r}", at)
@@ -442,7 +445,7 @@ class _Parser:
                 raise self.error(f"unsupported function {t!r}", self.pos - 1)
             raise self.error(f"unknown symbol {t!r} in expression", self.pos - 1)
         if t[0].isdecimal() or t[0] == ".":  # a lone "." is a bad character
-            return _Val(0, int(t), 1) if t.isdecimal() else _Val(0, float(t), 0)
+            return _Val(0, self.integer(t, self.pos - 1), 1) if t.isdecimal() else _Val(0, float(t), 0)
         raise self.error(f"unexpected token {t!r} in expression", self.pos - 1)
 
 

@@ -97,6 +97,23 @@ def rz_matrix(a: float) -> np.ndarray:
     return np.diag([cmath.exp(-0.5j * a), cmath.exp(0.5j * a)])
 
 
+def basis_operator(mat: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
+    """Full 2**n operator of a gate, built column by column from its basis action.
+
+    Basis state x maps to sum_r mat[r, c] |x with the gate qubits set to r>,
+    where c reads gate qubit qubits[i] as bit i.
+    """
+    k = len(qubits)
+    mask = sum(1 << q for q in qubits)
+    full = np.zeros((1 << n, 1 << n), dtype=complex)
+    for x in range(1 << n):
+        c = sum(((x >> q) & 1) << i for i, q in enumerate(qubits))
+        for r in range(1 << k):
+            y = (x & ~mask) | sum(((r >> i) & 1) << q for i, q in enumerate(qubits))
+            full[y, x] += mat[r, c]
+    return full
+
+
 def native_unitary(ops, n: int) -> np.ndarray:
     """Dense unitary of a native-op sequence (GR / RzLayer / Ncp).
 

@@ -11,6 +11,7 @@ from zxna import (
     Gate,
     Phase,
     ZxDiagram,
+    apply_circuit,
     cancel_gates,
     circuit_unitary,
     diagram_tensor,
@@ -24,7 +25,6 @@ from zxna.cnp import match_cnp
 from zxna.extract import ExtractionError, _Extractor, pivot_yz_neighbor
 from zxna.gf2 import row_reduce
 from zxna.ingest import circuit_to_diagram, to_graph_like
-from zxna.oracle import apply_gate, gate_matrix
 
 
 def _int_rank(rows, ncols):
@@ -368,10 +368,5 @@ def test_with_insert_extracts_phase_polynomial():
     # three random states instead of 12-qubit unitaries (256 MB each)
     rng = np.random.default_rng(0)
     psi = rng.normal(size=(1 << 12, 3)) + 1j * rng.normal(size=(1 << 12, 3))
-    images = []
-    for circ in (out, c):
-        v = psi.copy()
-        for g in circ.gates:
-            apply_gate(v, gate_matrix(g), g.qubits, 12)
-        images.append(v)
+    images = [apply_circuit(psi, circ) for circ in (out, c)]
     assert equal_up_to_scalar(*images, 1e-8)

@@ -193,6 +193,31 @@ def test_error_positions():
         parse_qasm("qreg q[2]; opaque ncz4 a,b,c,d; ncz4 q[0], q[1];")
 
 
+def test_error_line_counts_newlines_inside_strings():
+    with pytest.raises(QasmError, match="unknown gate 'frobnicate'") as e:
+        parse_qasm('include "a\nb";\nqreg q[1];\nfrobnicate q[0];')
+    assert (e.value.line, e.value.col) == (4, 1)
+    with pytest.raises(QasmError, match="unknown gate 'frobnicate'") as e:
+        parse_qasm('qreg q[1]; include "a\n\nbc";  frobnicate q[0];')
+    assert (e.value.line, e.value.col) == (3, 7)
+
+
+@pytest.mark.parametrize(
+    "text, pos",
+    [
+        ("qreg q[%s];", (2, 8)),
+        ("qreg q[1];\nrz(%s) q[0];", (3, 4)),
+        ("qreg q[1];\nrz(pi/%s) q[0];", (3, 7)),
+        ("qreg q[2];\nncp%s(pi) q[0], q[1];", (3, 1)),
+    ],
+    ids=["register-size", "angle", "divisor", "ncp-name"],
+)
+def test_integer_too_long_for_int_is_a_qasm_error(text, pos):
+    with pytest.raises(QasmError, match="integer of 5000 digits is too long") as e:
+        parse_qasm("// a long literal\n" + text % ("7" * 5000))
+    assert (e.value.line, e.value.col) == pos
+
+
 
 @pytest.mark.parametrize("call", ["ncp0(pi) q[0], q[1];", "ncp1(pi) q[0], q[1];", "ncz0 q[0];", "ncz1 q[0], q[1];"])
 def test_ncp_name_below_two_qubits_is_unknown(call):
