@@ -38,6 +38,8 @@ __all__ = [
 ]
 
 _EPS = 1e-12
+#: Passes of ``greedy_assign`` before it stops short of a fixpoint.
+REASSIGN_PASSES = 20
 
 
 @dataclass(frozen=True)
@@ -195,12 +197,12 @@ def _euler_layers(layers: list) -> list:
             for i, lay in enumerate(layers)]
 
 
-def _reassign(layers: list, eulers: list, max_passes: int = 20) -> None:
+def _reassign(layers: list, eulers: list) -> None:
     """Core of ``greedy_assign``: every move carries a unitary and its triple together."""
     # qubits of each multi-qubit layer; moves touch only the single-qubit layers
     busy = [None if i % 2 == 0 else {q for op in lay for q in op.qubits}
             for i, lay in enumerate(layers)]
-    for _ in range(max_passes):
+    for _ in range(REASSIGN_PASSES):
         moved = False
         for i in range(0, len(layers), 2):
             for q in sorted(layers[i]):
@@ -230,7 +232,7 @@ def _reassign(layers: list, eulers: list, max_passes: int = 20) -> None:
             break
 
 
-def greedy_assign(layers: list, max_passes: int = 20) -> list:
+def greedy_assign(layers: list) -> list:
     """Reassign movable single-qubit unitaries to cheaper layers in place.
 
     A unitary may move to an empty slot of another single-qubit layer if no
@@ -241,7 +243,7 @@ def greedy_assign(layers: list, max_passes: int = 20) -> list:
     drops them afterwards; ``schedule`` computes them once and keeps them
     for the decomposition.
     """
-    _reassign(layers, _euler_layers(layers), max_passes)
+    _reassign(layers, _euler_layers(layers))
     return layers
 
 

@@ -27,6 +27,9 @@ PHASE_GATE_ANGLES = {
     "Tdg": Phase(-1, 4),
 }
 
+#: Passes of ``cancel_gates`` before it stops short of a fixpoint.
+CANCEL_PASSES = 10
+
 
 @dataclass(frozen=True)
 class Gate:
@@ -131,15 +134,15 @@ def _merge(a: Gate, b: Gate) -> Optional[list[Gate]]:
     return None
 
 
-def cancel_gates(c: Circuit, max_passes: int = 10) -> Circuit:
+def cancel_gates(c: Circuit) -> Circuit:
     """Basic peephole cancellation.
 
     Removes adjacent self-inverse pairs, merges adjacent phase gates (and
     NCP gates on identical qubit sets), commuting candidates past gates on
-    disjoint qubits.  Iterates to a fixpoint, capped at ``max_passes``.
+    disjoint qubits.  Iterates to a fixpoint, capped at ``CANCEL_PASSES``.
     """
     gates = list(c.gates)
-    for _ in range(max_passes):
+    for _ in range(CANCEL_PASSES):
         out: list[Gate] = []
         changed = False
         for g in gates:

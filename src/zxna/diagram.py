@@ -5,6 +5,10 @@ spider-spider edge carries an implicit Hadamard.  The ordered input and
 output lists name boundary spiders; each boundary position additionally
 carries a flag marking a Hadamard on its dangling wire.  Parallel Hadamard
 wires cancel pairwise, which is why edge insertion is a toggle.
+
+Phase gadgets are defined here, once, for every module: a gadget's top is
+an interior degree-1 spider, and its root, the top's one neighbour, is
+interior, phase-free and has at least one other neighbour (a leg).
 """
 
 from __future__ import annotations
@@ -12,11 +16,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 from .phase import Phase
 
 __all__ = ["ZxDiagram", "GadgetView"]
+
+_PI = Phase(1)
 
 
 @dataclass(frozen=True)
@@ -169,26 +175,51 @@ class ZxDiagram:
             self.toggle_edge(u, b)
             self.toggle_edge(v, b)
 
-    # -- gadget detection -------------------------------------------------
+    # -- gadgets ------------------------------------------------------------
+
+    def boundary(self) -> set[int]:
+        """The input and output spiders."""
+        return set(self.inputs) | set(self.outputs)
+
+    def _hung_on(self, top: int) -> Optional[int]:
+        """The one neighbour of an interior degree-1 spider if it is interior, else None."""
+        if len(self._adj[top]) != 1 or top in self.inputs or top in self.outputs:
+            return None
+        (root,) = self._adj[top]
+        return None if root in self.inputs or root in self.outputs else root
+
+    def gadget_root(self, top: int) -> Optional[int]:
+        """The root of the gadget whose top is ``top``; None if ``top`` is no gadget's top."""
+        root = self._hung_on(top)
+        if root is None or not self._phases[root].is_zero() or len(self._adj[root]) < 2:
+            return None
+        return root
 
     def find_gadgets(self) -> list[GadgetView]:
-        """All phase gadgets: interior degree-1 tops on phase-free interior roots.
-
-        Gadgets come in ascending top id, i.e. in the order their tops were created.
-        """
-        boundary = set(self.inputs) | set(self.outputs)
+        """All phase gadgets, in ascending top id, i.e. in the order their tops were created."""
         out = []
         for top in self.spiders():
-            if top in boundary or len(self._adj[top]) != 1:
-                continue
-            (root,) = self._adj[top]
-            if root in boundary or not self._phases[root].is_zero():
-                continue
-            legs = frozenset(self._adj[root] - {top})
-            if not legs:
-                continue
-            out.append(GadgetView(top, root, legs, self._phases[top]))
+            root = self.gadget_root(top)
+            if root is not None:
+                out.append(GadgetView(top, root, frozenset(self._adj[root] - {top}), self._phases[top]))
         return out
+
+    def hanging(self) -> Iterator[tuple[int, int]]:
+        """(top, root) of every interior degree-1 spider on an interior one, whatever its phase.
+
+        Spiders are tested as they are reached, so the caller may rewrite
+        the diagram between two steps.
+        """
+        for top in list(self._phases):
+            if top in self._phases and (root := self._hung_on(top)) is not None:
+                yield top, root
+
+    def normalize_gadget_roots(self) -> None:
+        """Flip roots that picked up a pi phase: negate the top, zero the root."""
+        for top, root in self.hanging():
+            if self._phases[root] == _PI:
+                self._phases[root] = Phase(0)
+                self._phases[top] = -self._phases[top]
 
     # -- validation & serialization ---------------------------------------
 

@@ -25,7 +25,7 @@ from .diagram import GadgetView, ZxDiagram
 from .gf2 import row_reduce
 from .gflow import extend_gflow_insertion, find_gflow, labeled_graph_of, verify_gflow
 from .phase import Phase
-from .simplify import _normalize_gadget_roots, pivot_simp
+from .simplify import pivot_simp
 
 __all__ = ["ExtractionMode", "ExtractionError", "extract_circuit"]
 
@@ -70,7 +70,7 @@ def pivot_yz_neighbor(d: ZxDiagram, gadget_root: int, frontier_spider: int) -> N
     ok = pivot_simp(d, gadget_root, frontier_spider)
     if not ok:
         raise ExtractionError("yz pivot failed: non-Pauli phases", d)
-    _normalize_gadget_roots(d)
+    d.normalize_gadget_roots()
 
 
 class _Extractor:
@@ -103,7 +103,7 @@ class _Extractor:
 
     # -- single extraction steps -----------------------------------------
 
-    def pull_boundary_hadamards(self) -> None:
+    def pull_output_hadamards(self) -> None:
         for q in range(self.n):
             if self.d.output_hadamard[q]:
                 self.rev.append(Gate("H", (q,)))
@@ -229,8 +229,8 @@ class _Extractor:
     def eliminate(self) -> bool:
         """CX extraction via GF(2) elimination of the frontier biadjacency."""
         d = self.d
-        frontier = set(d.outputs)
-        rows = [q for q in range(self.n) if d.outputs[q] not in set(d.inputs) or d.degree(d.outputs[q]) > 0]
+        frontier, ins = set(d.outputs), set(d.inputs)
+        rows = [q for q in range(self.n) if d.outputs[q] not in ins or d.degree(d.outputs[q]) > 0]
         cols = sorted({w for q in rows for w in d.neighbors(d.outputs[q]) if w not in frontier})
         if not cols:
             return False
@@ -262,16 +262,12 @@ class _Extractor:
     def yz_pivot_step(self) -> bool:
         d = self.d
         ins = set(d.inputs)
-        boundary = ins | set(d.outputs)
         for q in range(self.n):
             v = d.outputs[q]
             if v in ins:
                 continue
             for w in sorted(d.neighbors(v)):
-                # a gadget root by find_gadgets' test: phase-free, interior, with
-                # a leg and an interior degree-1 neighbor
-                if (w not in boundary and d.phase(w).is_zero() and d.degree(w) >= 2
-                        and any(t not in boundary and d.degree(t) == 1 for t in d.neighbors(w))):
+                if any(d.gadget_root(t) == w for t in d.neighbors(w)):
                     pivot_yz_neighbor(d, w, v)
                     self.yz_pivots += 1
                     return True
@@ -302,7 +298,7 @@ class _Extractor:
             cur[q], cur[j] = cur[j], cur[q]
 
     def run(self) -> Circuit:
-        self.pull_boundary_hadamards()
+        self.pull_output_hadamards()
         limit = 20 * (self.d.num_spiders() + 10)
         for _ in range(limit):
             changed = self.pull_czs()

@@ -18,7 +18,9 @@ column from its token's index when it is raised.  Every malformed input
 raises one; a bad character anywhere comes before any parse error, and a
 statement nested deeper than the Python stack allows is reported at its
 first token.  Angles are exact multiples of pi over Python ints whenever
-possible; other values are rationalized by continued fractions.
+possible; other values are rationalized by continued fractions.  A program
+may declare at most ``MAX_QUBITS`` qubits and make at most ``MAX_GATES``
+gate calls, so a short text cannot broadcast or expand into unbounded work.
 """
 
 from __future__ import annotations
@@ -32,6 +34,12 @@ from .circuit import Circuit, Gate
 from .phase import Phase, rationalize_angle
 
 __all__ = ["QasmError", "parse_qasm", "write_qasm"]
+
+#: Most qubits all qreg declarations of a program may declare together.
+MAX_QUBITS = 4096
+#: Most gate calls a program may make, counted after broadcasting and at
+#: every level of gate definitions; one call emits at most three gates.
+MAX_GATES = 1 << 20
 
 
 class QasmError(ValueError):
@@ -97,6 +105,8 @@ class _Parser:
         self.gates: list[Gate] = []
         self.measures: list[tuple[int, int]] = []
         self.num_qubits = 0
+        self.calls = 0  # gate calls so far, at every level of definitions
+        self.call_at = 0  # the top-level gate call being expanded
 
     def error(self, msg: str, i: int) -> QasmError:
         """An error at token ``i``, with the line and column where it starts."""
@@ -213,6 +223,8 @@ class _Parser:
             regs = self.qregs if name == "qreg" else self.cregs
             if reg in regs:
                 raise self.error(f"duplicate {name} {reg!r}", at)
+            if name == "qreg" and self.num_qubits + n > MAX_QUBITS:
+                raise self.error(f"more than {MAX_QUBITS} qubits declared", at)
             regs[reg] = (self.num_qubits if name == "qreg" else 0, n)
             self.num_qubits += n if name == "qreg" else 0
         elif name == "barrier":
@@ -315,6 +327,7 @@ class _Parser:
 
     def gate_call(self, at: int) -> None:
         self.pos += 1
+        self.call_at = at
         params = [self.value(span, {}) for span in self.paren_groups()]
         args = [self.qubit_arg()]
         while self.accept(","):
@@ -347,6 +360,9 @@ class _Parser:
         return first + idx
 
     def emit(self, name: str, params: list[_Val], qubits: list[int], at: int) -> None:
+        self.calls += 1
+        if self.calls > MAX_GATES:
+            raise self.error(f"more than {MAX_GATES} gate calls", self.call_at)
         if len(set(qubits)) != len(qubits):
             raise self.error("duplicate qubit argument", at)
         spec = _GATES.get(name) or self.ncp_spec(name, len(qubits), at)

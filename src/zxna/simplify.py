@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from .diagram import ZxDiagram
 from .phase import Phase
@@ -28,8 +28,6 @@ __all__ = [
 ]
 
 MAX_ROUNDS = 10000
-
-_PI = Phase(1)
 
 
 @dataclass
@@ -47,17 +45,13 @@ class RewriteTrace:
         return json.dumps(self.steps)
 
 
-def _boundary(d: ZxDiagram) -> set[int]:
-    return set(d.inputs) | set(d.outputs)
-
-
 def lc_simp(d: ZxDiagram, v: int) -> bool:
     """Eliminate an interior spider with phase +-pi/2 by local complementation.
 
     Neighbors become pairwise toggled and each loses the removed phase.
     Returns False without change if the phase guard fails.
     """
-    if v in _boundary(d):
+    if v in d.boundary():
         raise ValueError("lc_simp target must be interior")
     p = d.phase(v)
     if not p.is_proper_clifford():
@@ -72,7 +66,7 @@ def lc_simp(d: ZxDiagram, v: int) -> bool:
 
 def pivot_simp(d: ZxDiagram, u: int, v: int) -> bool:
     """Eliminate an adjacent interior pair with phases in {0, pi} by pivoting."""
-    boundary = _boundary(d)
+    boundary = d.boundary()
     if u in boundary or v in boundary:
         raise ValueError("pivot_simp targets must be interior")
     if not d.has_edge(u, v):
@@ -101,7 +95,7 @@ def gadget_pivot(d: ZxDiagram, u: int, v: int) -> bool:
     The non-Clifford phase of v is unfused onto a fresh gadget hanging off
     v, after which the ordinary pivot removes u and the now phase-free v.
     """
-    boundary = _boundary(d)
+    boundary = d.boundary()
     if u in boundary or v in boundary:
         raise ValueError("gadget_pivot targets must be interior")
     if not d.has_edge(u, v):
@@ -112,26 +106,8 @@ def gadget_pivot(d: ZxDiagram, u: int, v: int) -> bool:
     d.set_phase(v, Phase(0))
     ok = pivot_simp(d, u, v)
     assert ok
-    _normalize_gadget_roots(d)
+    d.normalize_gadget_roots()
     return True
-
-
-def _hanging(d: ZxDiagram) -> Iterator[tuple[int, int]]:
-    """Yield (top, root): interior degree-1 tops on interior roots, tested as reached."""
-    boundary = _boundary(d)
-    for top in list(d.spiders()):
-        if d.contains(top) and top not in boundary and d.degree(top) == 1:
-            (root,) = d.neighbors(top)
-            if root not in boundary:
-                yield top, root
-
-
-def _normalize_gadget_roots(d: ZxDiagram) -> None:
-    """Flip roots that picked up a pi phase: negate the top, zero the root."""
-    for top, root in _hanging(d):
-        if d.phase(root) == _PI:
-            d.set_phase(root, Phase(0))
-            d.set_phase(top, -d.phase(top))
 
 
 def _repair_gadgets(d: ZxDiagram) -> None:
@@ -144,9 +120,9 @@ def _repair_gadgets(d: ZxDiagram) -> None:
     dissolution can in turn phase another root.
     """
     while True:
-        _normalize_gadget_roots(d)
+        d.normalize_gadget_roots()
         dissolved = False
-        for _, root in _hanging(d):
+        for _, root in d.hanging():
             if d.phase(root).is_proper_clifford():
                 ok = lc_simp(d, root)
                 assert ok
@@ -162,7 +138,7 @@ def id_simp(d: ZxDiagram, v: int) -> bool:
     phases add, adjacencies symmetric-difference, and an edge between the
     neighbors turns into a Hadamard self-loop contributing pi.
     """
-    if v in _boundary(d):
+    if v in d.boundary():
         raise ValueError("id_simp target must be interior")
     if not d.phase(v).is_zero() or d.degree(v) != 2:
         return False
@@ -197,7 +173,7 @@ def gadget_fusion(d: ZxDiagram) -> int:
     Returns the number of fusions performed.
     """
     count = 0
-    _normalize_gadget_roots(d)
+    d.normalize_gadget_roots()
     groups: dict[frozenset[int], list] = {}
     for g in d.find_gadgets():
         groups.setdefault(g.legs, []).append(g)
@@ -223,43 +199,23 @@ def gadget_fusion(d: ZxDiagram) -> int:
 
 
 def full_simplify(
-    d: ZxDiagram,
-    trace: Optional[RewriteTrace] = None,
-    on_rewrite: Optional[Callable[[str, ZxDiagram], None]] = None,
+    d: ZxDiagram, on_rewrite: Optional[Callable[[str, ZxDiagram], None]] = None
 ) -> RewriteTrace:
     """Run all rewrites to a fixpoint.
 
     ``on_rewrite`` is a debug hook called after every individual rewrite
     (used by the test suite to assert gflow preservation step by step).
-
-    The gadget index (tops, roots, top -> root) is one ``find_gadgets`` scan,
-    kept until a recorded rewrite or the start of a Clifford round (after
-    ``gadget_fusion``'s unrecorded root flips) clears it; a rewrite that
-    returns False leaves the diagram untouched, so the index is never stale.
     """
-    if trace is None:
-        trace = RewriteTrace()
-    index: Optional[tuple[set[int], set[int], dict[int, int]]] = None
+    trace = RewriteTrace()
 
     def did(rule: str, spiders: tuple[int, ...]) -> None:
-        nonlocal index
-        index = None
         trace.record(rule, spiders, d)
         if on_rewrite is not None:
             on_rewrite(rule, d)
 
-    def gadget_parts() -> tuple[set[int], set[int], dict[int, int]]:
-        nonlocal index
-        if index is None:
-            gs = d.find_gadgets()
-            index = {g.top for g in gs}, {g.root for g in gs}, {g.top: g.root for g in gs}
-        return index
-
     def clifford_round() -> bool:
-        nonlocal index
-        index = None
         changed = False
-        boundary = _boundary(d)
+        boundary = d.boundary()
         for v in sorted(d.spiders()):
             # isolated interior spiders are scalars; drop them
             if v not in boundary and d.degree(v) == 0:
@@ -274,17 +230,14 @@ def full_simplify(
                 did("id", (v,))
                 changed = True
                 # fusing may relabel a boundary spider
-                boundary = _boundary(d)
+                boundary = d.boundary()
         for v in sorted(d.spiders()):
             if not d.contains(v) or v in boundary or not d.phase(v).is_proper_clifford():
                 continue
-            tops, roots, root_of = gadget_parts()
-            if v in roots:
-                continue
-            if v in tops:
+            root = d.gadget_root(v)
+            if root is not None:
                 # a Clifford gadget dissolves whole: removing only the top
                 # would turn its YZ root into an XY spider and lose gflow
-                root = root_of[v]
                 ok = lc_simp(d, v) and lc_simp(d, root)
                 assert ok
                 _repair_gadgets(d)
@@ -298,16 +251,14 @@ def full_simplify(
         for u in sorted(d.spiders()):
             if not d.contains(u) or u in boundary or not d.phase(u).is_pauli():
                 continue
-            tops, _, root_of = gadget_parts()
+            u_root = d.gadget_root(u)
             # a failed pivot changes nothing, so the neighbor snapshot stays valid
             for v in sorted(d.neighbors(u)):
                 if v in boundary or not d.phase(v).is_pauli():
                     continue
                 # gadget tops only pivot against their own root (removing the
                 # whole gadget); anything else converts measurement planes
-                if u in tops and root_of[u] != v:
-                    continue
-                if v in tops and root_of[v] != u:
+                if u_root not in (None, v) or d.gadget_root(v) not in (None, u):
                     continue
                 if pivot_simp(d, u, v):
                     _repair_gadgets(d)
@@ -318,10 +269,9 @@ def full_simplify(
 
     def gadget_round() -> bool:
         changed = False
-        boundary = _boundary(d)
+        boundary = d.boundary()
         # spiders of the gadgets present at the round's start never pivot
-        tops, roots, _ = gadget_parts()
-        parts = tops | roots
+        parts = {x for g in d.find_gadgets() for x in (g.top, g.root)}
         for u in sorted(d.spiders()):
             if not d.contains(u) or u in boundary or u in parts:
                 continue

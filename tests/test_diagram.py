@@ -113,16 +113,26 @@ def test_find_gadgets_basic():
 
 
 def test_find_gadgets_excludes_malformed():
-    d = ZxDiagram()
-    o = d.add_spider()
-    d.outputs = [o]
-    root = d.add_spider(Phase(1, 4))  # phased root: not a gadget
-    top = d.add_spider(Phase(1, 4))
-    d.toggle_edge(root, top)
-    d.toggle_edge(root, o)
-    assert d.find_gadgets() == []
-    d.set_phase(root, Phase(0))
-    assert len(d.find_gadgets()) == 1
+    # each edit of a one-gadget diagram leaves no gadget
+    malformed = {
+        "phased root": lambda d, o, root, top: d.set_phase(root, Phase(1, 4)),
+        "boundary top": lambda d, o, root, top: d.outputs.append(top),
+        "boundary root": lambda d, o, root, top: d.inputs.append(root),
+        "root with no leg": lambda d, o, root, top: d.toggle_edge(root, o),
+        "degree-2 top": lambda d, o, root, top: d.toggle_edge(top, o),
+    }
+    for what, edit in malformed.items():
+        d = ZxDiagram()
+        o = d.add_spider()
+        d.outputs = [o]
+        root = d.add_spider(Phase(0))
+        top = d.add_spider(Phase(1, 4))
+        d.toggle_edge(root, top)
+        d.toggle_edge(root, o)
+        assert [(g.top, g.root) for g in d.find_gadgets()] == [(top, root)] and d.gadget_root(top) == root
+        edit(d, o, root, top)
+        assert d.find_gadgets() == [], what
+        assert [d.gadget_root(v) for v in d.spiders()] == [None] * 3, what
 
 
 def test_controlled_phase_structure_spider_counts():

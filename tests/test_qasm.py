@@ -7,7 +7,8 @@ import pytest
 
 from helpers import dft_matrix, rand_rich_circuit
 from zxna import Circuit, Gate, Phase, circuit_unitary, equal_up_to_scalar, parse_qasm, write_qasm
-from zxna.qasm import QasmError
+from zxna import qasm
+from zxna.qasm import MAX_QUBITS, QasmError
 
 
 def test_minimal_program():
@@ -309,6 +310,37 @@ def test_moderate_nesting_parses():
     c = parse_qasm("qreg q[1]; rz(" + "(" * 100 + "-" * 300 + "pi" + ")" * 100 + ") q[0];")
     assert c.gates == (Gate("Rz", (0,), Phase(1)),)
     assert parse_qasm(_gate_chain(100)).gates == (Gate("H", (0,)),)
+
+
+def test_declared_qubits_are_capped():
+    assert parse_qasm(f"qreg q[{MAX_QUBITS - 1}]; qreg r[1]; h r;").num_qubits == MAX_QUBITS
+    for text, pos in ((f"qreg q[{MAX_QUBITS}];\n  qreg r[1]; h q;", (2, 3)), ("qreg q[100000]; h q;", (1, 1))):
+        with pytest.raises(QasmError, match=f"more than {MAX_QUBITS} qubits declared") as e:
+            parse_qasm(text)
+        assert (e.value.line, e.value.col) == pos
+
+
+def _doubling_chain(depth, body="h a;"):
+    """Definitions g0..g<depth-1>, each calling the one before twice.
+
+    A call of the last makes 2^depth - 1 calls of the g's and 2^(depth-1) of the body.
+    """
+    defs = "".join(f"gate g{i} a {{ g{i - 1} a; g{i - 1} a; }}\n" for i in range(1, depth))
+    return f"qreg q[1];\ngate g0 a {{ {body} }}\n{defs}x q[0]; g{depth - 1} q[0];"
+
+
+def test_gate_calls_are_capped(monkeypatch):
+    monkeypatch.setattr(qasm, "MAX_GATES", 1 << 10)
+    # x, 511 calls of g8..g0, 256 of h and y: 769 calls, 258 gates
+    assert len(parse_qasm(_doubling_chain(9) + " y q[0];").gates) == 258
+    assert len(parse_qasm("qreg q[512]; h q; x q;").gates) == 1 << 10
+    # 30 levels would make over 2^30 calls, whether or not their gates emit anything
+    cases = [(_doubling_chain(30, body), (32, 9)) for body in ("h a;", "id a;", "")]
+    cases += [("qreg q[1025]; h q;", (1, 15)), ("qreg q[512]; h q; x q; z q[0];", (1, 24))]
+    for text, pos in cases:
+        with pytest.raises(QasmError, match="more than 1024 gate calls") as e:
+            parse_qasm(text)
+        assert (e.value.line, e.value.col) == pos
 
 
 def test_roundtrip_random_circuits():
