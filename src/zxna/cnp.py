@@ -1,14 +1,15 @@
 """Multi-controlled phase gates as phase-gadget structures.
 
-An m-qubit controlled phase ``NCP(m, phi)`` is equivalent to a graph-like
-diagram where each of the m anchor spiders carries ``alpha = phi / 2^(m-1)``
-and every subset of anchors of size k >= 2 carries a phase gadget with
-phase ``(-1)^(k+1) * alpha``.  This module generates those structures,
-pattern-matches them on a frontier, and provides the combinatorial oracles
-used to cross-check the construction.  A match may need a gadget's phase
-split (the NCP takes the required phase, a gadget on the same legs keeps
-the rest) or, in ``with-insert`` mode, a missing gadget inserted (the NCP
-takes the required phase, a gadget with the opposite phase stays behind).
+Theorem 1: an n-qubit controlled phase ``NCP(phi)`` equals its n anchor
+spiders each carrying ``alpha = phi / 2^(n-1)`` plus, on every anchor subset
+of size k >= 2, a phase gadget with phase ``(-1)^(k+1) * alpha``.
+:class:`MatchPlan` is that structure on a tuple of anchors; it is built by
+:func:`theorem1_template`, spliced into a diagram by :func:`add_cnp` and
+found on a frontier by :func:`match_cnp`.  A match may need a gadget's phase
+split (the NCP takes the required phase, a gadget on the same legs keeps the
+rest) or, in ``with-insert`` mode, a missing gadget inserted (the NCP takes
+the required phase, a gadget with the opposite phase stays behind).  The
+combinatorial oracles cross-check the construction.
 """
 
 from __future__ import annotations
@@ -22,38 +23,13 @@ from .diagram import GadgetView, ZxDiagram
 from .phase import Phase
 
 __all__ = [
-    "CnpTemplate",
     "MatchPlan",
     "theorem1_template",
-    "instantiate_template",
+    "add_cnp",
     "match_cnp",
     "lemma2_sum",
     "phase_accumulation",
 ]
-
-
-@dataclass(frozen=True)
-class CnpTemplate:
-    """Gadget structure of an n-qubit controlled phase gate.
-
-    ``required`` lists the gadget leg-subsets (as index tuples into
-    ``target_set``) of size >= 2 together with their phases; each anchor
-    additionally receives ``alpha``.
-    """
-
-    n: int
-    alpha: Phase
-    required: tuple[tuple[tuple[int, ...], Phase], ...]
-    target_set: Optional[tuple[int, ...]] = None
-
-    def bind(self, anchors: tuple[int, ...]) -> "CnpTemplate":
-        if len(anchors) != self.n:
-            raise ValueError("anchor count does not match template size")
-        return CnpTemplate(self.n, self.alpha, self.required, tuple(anchors))
-
-    @property
-    def phi(self) -> Phase:
-        return self.alpha * (1 << (self.n - 1))
 
 
 def _required(anchors, alpha: Phase) -> Iterator[tuple[tuple, Phase]]:
@@ -64,31 +40,9 @@ def _required(anchors, alpha: Phase) -> Iterator[tuple[tuple, Phase]]:
             yield subset, p
 
 
-def theorem1_template(n: int, phi: Phase) -> CnpTemplate:
-    """Gadget structure of the n-qubit controlled phase gate with phase phi."""
-    if n < 2:
-        raise ValueError("controlled phase structure needs n >= 2")
-    alpha = phi.div_pow2(n - 1)
-    return CnpTemplate(n, alpha, tuple(_required(range(n), alpha)))
-
-
-def instantiate_template(d: ZxDiagram, t: CnpTemplate) -> None:
-    """Splice a bound template onto its anchor spiders."""
-    if t.target_set is None:
-        raise ValueError("template is not bound to anchors")
-    anchors = t.target_set
-    for a in anchors:
-        if not d.contains(a):
-            raise ValueError(f"unknown anchor spider {a}")
-    for subset, p in t.required:
-        d.add_gadget([anchors[i] for i in subset], p)
-    for a in anchors:
-        d.add_phase(a, t.alpha)
-
-
 @dataclass
 class MatchPlan:
-    """Executable plan turning frontier gadgets into one exact C_nP structure.
+    """Theorem 1 structure on ``target_set``, with how frontier gadgets supply it.
 
     ``matched`` maps each present required leg-set to the gadget the NCP
     consumes.  ``splits`` lists matched gadgets whose phase differs from the
@@ -110,6 +64,31 @@ class MatchPlan:
     @property
     def phi(self) -> Phase:
         return self.alpha * (1 << (self.n - 1))
+
+    @property
+    def required(self) -> tuple[tuple[tuple[int, ...], Phase], ...]:
+        """Theorem 1's gadget leg-sets on ``target_set`` with their phases."""
+        return tuple(_required(self.target_set, self.alpha))
+
+
+def theorem1_template(anchors: Iterable[int], phi: Phase) -> MatchPlan:
+    """Structure of the controlled phase gate with phase phi on the anchors, nothing matched."""
+    anchors = tuple(anchors)
+    if len(anchors) < 2:
+        raise ValueError("controlled phase structure needs n >= 2")
+    return MatchPlan(anchors, phi.div_pow2(len(anchors) - 1))
+
+
+def add_cnp(d: ZxDiagram, anchors: Iterable[int], phi: Phase) -> None:
+    """Splice the structure of ``NCP(phi)`` onto existing anchor spiders."""
+    t = theorem1_template(anchors, phi)
+    for a in t.target_set:
+        if not d.contains(a):
+            raise ValueError(f"unknown anchor spider {a}")
+    for legs, p in t.required:
+        d.add_gadget(legs, p)
+    for a in t.target_set:
+        d.add_phase(a, t.alpha)
 
 
 def match_cnp(
@@ -219,18 +198,19 @@ def lemma2_sum(n: int, l: int) -> int:
     return total
 
 
-def phase_accumulation(t: CnpTemplate, basis: tuple[int, ...]) -> Phase:
-    """Exact diagonal phase the template applies to one computational basis state."""
+def phase_accumulation(t: MatchPlan, basis: tuple[int, ...]) -> Phase:
+    """Exact diagonal phase the structure applies to one basis state of its anchors."""
     if len(basis) != t.n:
         raise ValueError("basis length does not match template size")
+    bit = dict(zip(t.target_set, basis))
     total = Phase(0)
-    for i, b in enumerate(basis):
+    for b in basis:
         if b:
             total = total + t.alpha
-    for subset, p in t.required:
+    for legs, p in t.required:
         parity = 0
-        for i in subset:
-            parity ^= basis[i] & 1
+        for a in legs:
+            parity ^= bit[a] & 1
         if parity:
             total = total + p
     return total

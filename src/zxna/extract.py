@@ -44,6 +44,10 @@ class ExtractionMode:
     max_ctrl: Optional[int] = None
     debug: bool = False
 
+    def __post_init__(self) -> None:
+        if self.kind not in ("default", "no-insert", "with-insert"):
+            raise ValueError(f"unknown extraction kind {self.kind!r}")
+
 
 class ExtractionError(RuntimeError):
     def __init__(self, msg: str, d: Optional[ZxDiagram] = None):
@@ -88,18 +92,21 @@ class _Extractor:
     def _pad_inputs(self) -> None:
         """Move every input behind a two-spider buffer (H-H = plain wire).
 
+        A flagged input (Hadamard on its boundary wire) gets one buffer
+        spider instead, so that Hadamard becomes the buffer's edge.
         Afterwards no input spider carries phases, gadgets or frontier
         duty, which keeps every extraction step's rewrite valid: the CX row
         operation and the Hadamard advance both assume the spiders they
         touch have no dangling input wire.
         """
         d = self.d
-        for q, i in enumerate(d.inputs):
-            x = d.add_spider(Phase(0))
-            y = d.add_spider(Phase(0))
-            d.toggle_edge(i, x)
-            d.toggle_edge(x, y)
-            d.inputs[q] = y
+        for q, v in enumerate(d.inputs):
+            for _ in range(1 if d.input_hadamard[q] else 2):
+                w = d.add_spider(Phase(0))
+                d.toggle_edge(v, w)
+                v = w
+            d.inputs[q] = v
+            d.input_hadamard[q] = False
 
     # -- single extraction steps -----------------------------------------
 

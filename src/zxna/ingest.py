@@ -11,7 +11,7 @@ multi-controlled phases splice in their gadget structure directly.
 from __future__ import annotations
 
 from .circuit import PHASE_GATE_ANGLES, Circuit, Gate
-from .cnp import instantiate_template, theorem1_template
+from .cnp import add_cnp
 from .diagram import ZxDiagram
 from .phase import Phase
 
@@ -57,8 +57,7 @@ class _Builder:
         self.h(tgt)
 
     def ncp(self, qubits: tuple[int, ...], phi: Phase) -> None:
-        anchors = tuple(self.anchor(q) for q in qubits)
-        instantiate_template(self.d, theorem1_template(len(qubits), phi).bind(anchors))
+        add_cnp(self.d, [self.anchor(q) for q in qubits], phi)
 
     def finish(self) -> ZxDiagram:
         for q, v in enumerate(self.cur):

@@ -34,8 +34,7 @@ def synthesize(
     d = circuit_to_diagram(c)
     to_graph_like(d)
     full_simplify(d)
-    kind = {"zx-default": "default", "zx-no-insert": "no-insert", "zx-with-insert": "with-insert"}[pipeline]
-    out = extract_circuit(d, ExtractionMode(kind, max_ctrl, debug))
+    out = extract_circuit(d, ExtractionMode(pipeline.removeprefix("zx-"), max_ctrl, debug))
     return cancel_gates(out)
 
 

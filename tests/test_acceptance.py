@@ -45,7 +45,7 @@ from zxna.backend import (
     transversal_decompose,
     zyz_angles,
 )
-from zxna.cnp import instantiate_template, lemma2_sum, phase_accumulation, theorem1_template
+from zxna.cnp import add_cnp, lemma2_sum, phase_accumulation, theorem1_template
 from zxna.gflow import labeled_graph_of
 from zxna.ingest import circuit_to_diagram, to_graph_like
 from zxna.oracle import gate_matrix
@@ -100,7 +100,7 @@ def test_criterion_1_diagonal_structure_oracle(capsys):
             d = ZxDiagram(0, n)
             anchors = [d.add_spider() for _ in range(n)]
             d.outputs = list(anchors)
-            instantiate_template(d, theorem1_template(n, phi).bind(tuple(anchors)))
+            add_cnp(d, anchors, phi)
             got = _gadget_diagonal(d)
             ref = np.ones(1 << n, dtype=complex)
             ref[-1] = np.exp(1j * phi.to_float())
@@ -125,7 +125,7 @@ def test_criterion_2_alternating_sum_table(capsys):
                 ok = False
             cases += 1
     for n in range(2, 7):
-        t = theorem1_template(n, Phase(1, 2))
+        t = theorem1_template(range(n), Phase(1, 2))
         for basis in product((0, 1), repeat=n):
             want = Phase(1, 2) if all(basis) else Phase(0)
             if phase_accumulation(t, basis) != want:

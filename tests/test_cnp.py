@@ -5,7 +5,7 @@ import pytest
 
 from zxna import Phase, ZxDiagram, diagram_tensor, equal_up_to_scalar
 from zxna.cnp import (
-    instantiate_template,
+    add_cnp,
     lemma2_sum,
     match_cnp,
     phase_accumulation,
@@ -21,14 +21,14 @@ def _anchored(n):
 
 
 def test_template_n2():
-    t = theorem1_template(2, Phase(1))
+    t = theorem1_template(range(2), Phase(1))
     assert t.alpha == Phase(1, 2)
     assert t.required == (((0, 1), Phase(-1, 2)),)
     assert t.phi == Phase(1)
 
 
 def test_template_n3():
-    t = theorem1_template(3, Phase(1))
+    t = theorem1_template(range(3), Phase(1))
     assert t.alpha == Phase(1, 4)
     pairs = [(s, p) for s, p in t.required if len(s) == 2]
     triples = [(s, p) for s, p in t.required if len(s) == 3]
@@ -38,29 +38,27 @@ def test_template_n3():
 
 def test_template_counts():
     for n in range(2, 7):
-        t = theorem1_template(n, Phase(1, 2))
+        t = theorem1_template(range(n), Phase(1, 2))
         assert len(t.required) == (1 << n) - n - 1
         assert t.alpha == Phase(1, 2).div_pow2(n - 1)
     with pytest.raises(ValueError):
-        theorem1_template(1, Phase(1))
+        theorem1_template(range(1), Phase(1))
 
 
-def test_bind_and_instantiate_validation():
-    t = theorem1_template(2, Phase(1))
+def test_add_cnp_validation():
     d, anchors = _anchored(2)
     with pytest.raises(ValueError):
-        instantiate_template(d, t)  # unbound
+        add_cnp(d, (998, 999), Phase(1))
     with pytest.raises(ValueError):
-        t.bind((1,))
-    with pytest.raises(ValueError):
-        instantiate_template(d, t.bind((998, 999)))
+        add_cnp(d, anchors[:1], Phase(1))
+    assert d.num_spiders() == 2
 
 
 def test_instantiated_template_tensor():
     for n in (2, 3):
         for phi in (Phase(1), Phase(-3, 4)):
             d, anchors = _anchored(n)
-            instantiate_template(d, theorem1_template(n, phi).bind(tuple(anchors)))
+            add_cnp(d, anchors, phi)
             # no inputs: the tensor is the diagonal applied to the plus state
             ref = np.ones(1 << n, dtype=complex)
             ref[-1] = np.exp(1j * phi.to_float())
@@ -79,20 +77,21 @@ def test_lemma2_values():
 
 def test_phase_accumulation():
     for n in (2, 3, 4):
-        t = theorem1_template(n, Phase(1, 2))
+        t = theorem1_template(range(n), Phase(1, 2))
         for basis in product((0, 1), repeat=n):
             got = phase_accumulation(t, basis)
             assert got == (Phase(1, 2) if all(basis) else Phase(0))
     with pytest.raises(ValueError):
-        phase_accumulation(theorem1_template(2, Phase(1)), (1,))
+        phase_accumulation(theorem1_template(range(2), Phase(1)), (1,))
 
 
 def test_match_exact_structure():
     d, anchors = _anchored(3)
-    instantiate_template(d, theorem1_template(3, Phase(1)).bind(tuple(anchors)))
+    add_cnp(d, anchors, Phase(1))
     plan = match_cnp(d.find_gadgets(), set(anchors), "no-insert")
     assert plan is not None
     assert plan.n == 3 and plan.phi == Phase(1)
+    assert plan.required == theorem1_template(anchors, Phase(1)).required
     assert not plan.insertions and not plan.splits
     assert len(plan.matched) == 4
 

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from zxna import Phase, ZxDiagram
-from zxna.cnp import instantiate_template, theorem1_template
+from zxna.cnp import add_cnp
 
 
 def _random_graph_diagram(seed, n=8, p=0.45):
@@ -141,8 +141,7 @@ def test_controlled_phase_structure_spider_counts():
         d = ZxDiagram(0, n)
         anchors = [d.add_spider() for _ in range(n)]
         d.outputs = list(anchors)
-        t = theorem1_template(n, Phase(1)).bind(tuple(anchors))
-        instantiate_template(d, t)
+        add_cnp(d, anchors, Phase(1))
         assert d.num_spiders() == spiders
         assert len(d.find_gadgets()) == gadgets
 

@@ -105,6 +105,30 @@ def test_extract_requires_gflow():
         extract_circuit(d)
 
 
+def test_extract_honours_input_hadamard():
+    d = ZxDiagram(1, 1)
+    i, o = d.add_spider(Phase(1, 4)), d.add_spider()
+    d.toggle_edge(i, o)
+    d.inputs, d.outputs, d.input_hadamard = [i], [o], [True]
+    assert equal_up_to_scalar(circuit_unitary(extract_circuit(d)), diagram_tensor(d), 1e-9)
+    for seed in range(8):
+        c = rand_rich_circuit(seed, max_qubits=4, max_gates=10)
+        d = circuit_to_diagram(c)
+        d.input_hadamard[seed % c.num_qubits] = True
+        ref = diagram_tensor(d)
+        s = d.copy()
+        full_simplify(s)
+        for kind in ("default", "with-insert"):
+            for diagram in (d, s):
+                out = extract_circuit(diagram, ExtractionMode(kind))
+                assert equal_up_to_scalar(circuit_unitary(out), ref, 1e-8), (seed, kind)
+
+
+def test_extraction_mode_rejects_unknown_kind():
+    with pytest.raises(ValueError):
+        ExtractionMode("with_insert")
+
+
 def test_extract_ncz3_as_single_ncp():
     c = Circuit(3, (Gate("NCZ", (0, 1, 2)),))
     d = circuit_to_diagram(c)
