@@ -181,25 +181,29 @@ class ZxDiagram:
         """The input and output spiders."""
         return set(self.inputs) | set(self.outputs)
 
-    def _hung_on(self, top: int) -> Optional[int]:
-        """The one neighbour of an interior degree-1 spider if it is interior, else None."""
-        if len(self._adj[top]) != 1 or top in self.inputs or top in self.outputs:
+    def _hung_on(self, top: int, boundary: set[int]) -> Optional[int]:
+        """The one neighbour of a degree-1 spider if neither is in ``boundary``, else None."""
+        if len(self._adj[top]) != 1 or top in boundary:
             return None
         (root,) = self._adj[top]
-        return None if root in self.inputs or root in self.outputs else root
+        return None if root in boundary else root
 
-    def gadget_root(self, top: int) -> Optional[int]:
-        """The root of the gadget whose top is ``top``; None if ``top`` is no gadget's top."""
-        root = self._hung_on(top)
+    def _gadget_root(self, top: int, boundary: set[int]) -> Optional[int]:
+        """The gadget test: ``top``'s root if it hangs on a phase-free spider with a leg."""
+        root = self._hung_on(top, boundary)
         if root is None or not self._phases[root].is_zero() or len(self._adj[root]) < 2:
             return None
         return root
 
+    def gadget_root(self, top: int) -> Optional[int]:
+        """The root of the gadget whose top is ``top``; None if ``top`` is no gadget's top."""
+        return self._gadget_root(top, self.boundary()) if len(self._adj[top]) == 1 else None
+
     def find_gadgets(self) -> list[GadgetView]:
         """All phase gadgets, in ascending top id, i.e. in the order their tops were created."""
-        out = []
+        out, boundary = [], self.boundary()
         for top in self.spiders():
-            root = self.gadget_root(top)
+            root = self._gadget_root(top, boundary)
             if root is not None:
                 out.append(GadgetView(top, root, frozenset(self._adj[root] - {top}), self._phases[top]))
         return out
@@ -207,11 +211,13 @@ class ZxDiagram:
     def hanging(self) -> Iterator[tuple[int, int]]:
         """(top, root) of every interior degree-1 spider on an interior one, whatever its phase.
 
-        Spiders are tested as they are reached, so the caller may rewrite
-        the diagram between two steps.
+        The boundary is read once, when the sweep starts.  Spiders are tested
+        as they are reached, so the caller may rewrite the diagram between
+        two steps, but not its boundary.
         """
+        boundary = self.boundary()
         for top in list(self._phases):
-            if top in self._phases and (root := self._hung_on(top)) is not None:
+            if top in self._phases and (root := self._hung_on(top, boundary)) is not None:
                 yield top, root
 
     def normalize_gadget_roots(self) -> None:
@@ -245,6 +251,7 @@ class ZxDiagram:
 
     @classmethod
     def from_json(cls, text: str) -> "ZxDiagram":
+        """Read :meth:`to_json`'s format; raises ValueError for a malformed diagram."""
         data = json.loads(text)
         d = cls()
         for v, (n, den) in sorted(((int(k), p) for k, p in data["spiders"].items())):
@@ -252,9 +259,18 @@ class ZxDiagram:
             d._adj[v] = set()
             d._next_id = max(d._next_id, v + 1)
         for u, v in data["edges"]:
+            if u not in d._adj or v not in d._adj:
+                raise ValueError(f"edge {[u, v]} names an unknown spider")
+            if u == v:
+                raise ValueError(f"self-loop edge {[u, v]}")
+            if d.has_edge(u, v):
+                raise ValueError(f"repeated edge {[u, v]}")
             d.toggle_edge(u, v)
-        d.inputs = list(data["inputs"])
-        d.outputs = list(data["outputs"])
-        d.input_hadamard = list(data["input_hadamard"])
-        d.output_hadamard = list(data["output_hadamard"])
+        d.inputs, d.outputs = list(data["inputs"]), list(data["outputs"])
+        d.input_hadamard, d.output_hadamard = list(data["input_hadamard"]), list(data["output_hadamard"])
+        for side, ids, flags in (("inputs", d.inputs, d.input_hadamard), ("outputs", d.outputs, d.output_hadamard)):
+            if unknown := [v for v in ids if v not in d._adj]:
+                raise ValueError(f"{side} name unknown spiders {unknown}")
+            if len(flags) != len(ids):
+                raise ValueError(f"{len(ids)} {side} but {len(flags)} Hadamard flags")
         return d

@@ -37,7 +37,8 @@ class ExtractionMode:
     ``default`` disables NCP extraction entirely; ``no-insert`` only matches
     structures already present; ``with-insert`` may complete partial
     structures by inserting the missing gadgets.  ``max_ctrl`` caps emitted
-    NCP arity.  ``debug`` re-verifies gflow around every gadget insertion.
+    NCP arity; it is None (no cap) or at least 2.  ``debug`` re-verifies
+    gflow around every gadget insertion.
     """
 
     kind: Literal["default", "no-insert", "with-insert"] = "default"
@@ -47,6 +48,8 @@ class ExtractionMode:
     def __post_init__(self) -> None:
         if self.kind not in ("default", "no-insert", "with-insert"):
             raise ValueError(f"unknown extraction kind {self.kind!r}")
+        if self.max_ctrl is not None and self.max_ctrl < 2:
+            raise ValueError(f"max_ctrl must be at least 2 (an NCP spans two qubits), got {self.max_ctrl}")
 
 
 class ExtractionError(RuntimeError):
@@ -88,6 +91,7 @@ class _Extractor:
         self.gadgets: dict[int, GadgetView] = {}  # pull_cnp's frontier gadgets by top id, ascending
         self.pending: dict[int, GadgetView] = {}  # reserved, not yet placed
         self._pad_inputs()
+        self.ins = {*self.d.inputs}  # the padded inputs never change
 
     def _pad_inputs(self) -> None:
         """Move every input behind a two-spider buffer (H-H = plain wire).
@@ -216,10 +220,9 @@ class _Extractor:
 
     def advance_hadamard(self) -> bool:
         changed = False
-        ins = set(self.d.inputs)
         for q in range(self.n):
             v = self.d.outputs[q]
-            if v in ins:
+            if v in self.ins:
                 continue
             if self.d.degree(v) != 1:
                 continue
@@ -234,44 +237,34 @@ class _Extractor:
         return changed
 
     def eliminate(self) -> bool:
-        """CX extraction via GF(2) elimination of the frontier biadjacency."""
+        """CX extraction via GF(2) elimination of the frontier biadjacency.
+
+        Each row operation dst ^= src on the biadjacency matrix is a CX with
+        control q_dst and target q_src (calibrated against the tensor
+        oracle).  The reduced rows are then written back as the frontier
+        spiders' non-frontier wires.
+        """
         d = self.d
-        frontier, ins = set(d.outputs), set(d.inputs)
-        rows = [q for q in range(self.n) if d.outputs[q] not in ins or d.degree(d.outputs[q]) > 0]
+        frontier = set(d.outputs)
+        rows = [q for q in range(self.n) if d.outputs[q] not in self.ins or d.degree(d.outputs[q]) > 0]
         cols = sorted({w for q in rows for w in d.neighbors(d.outputs[q]) if w not in frontier})
         if not cols:
             return False
         cidx = {c: j for j, c in enumerate(cols)}
-        m = [
-            sum(1 << cidx[w] for w in d.neighbors(d.outputs[q]) if w in cidx)
-            for q in rows
-        ]
-        ops = row_reduce(m, len(cols))[1]
-        for src, dst in ops:
-            self.apply_cx(rows[src], rows[dst])
+        m = [sum(1 << cidx[w] for w in d.neighbors(d.outputs[q]) if w in cidx) for q in rows]
+        rref, ops, _ = row_reduce(m, len(cols))
+        self.rev.extend(Gate("CX", (rows[dst], rows[src])) for src, dst in ops)
+        for q, old, new in zip(rows, m, rref):
+            for j, c in enumerate(cols):
+                if (old ^ new) >> j & 1:
+                    d.toggle_edge(d.outputs[q], c)
         return bool(ops)
-
-    def apply_cx(self, q_src: int, q_dst: int) -> None:
-        """Add the wires of frontier q_src onto frontier q_dst, emitting a CX.
-
-        The row operation dst ^= src on the biadjacency matrix corresponds
-        to a CX with control q_dst and target q_src (calibrated against the
-        tensor oracle).
-        """
-        d = self.d
-        vs, vd = d.outputs[q_src], d.outputs[q_dst]
-        frontier = set(d.outputs)
-        for w in sorted(d.neighbors(vs)):
-            if w not in frontier:
-                d.toggle_edge(vd, w)
-        self.rev.append(Gate("CX", (q_dst, q_src)))
 
     def yz_pivot_step(self) -> bool:
         d = self.d
-        ins = set(d.inputs)
         for q in range(self.n):
             v = d.outputs[q]
-            if v in ins:
+            if v in self.ins:
                 continue
             for w in sorted(d.neighbors(v)):
                 if any(d.gadget_root(t) == w for t in d.neighbors(w)):
@@ -284,9 +277,8 @@ class _Extractor:
 
     def done(self) -> bool:
         d = self.d
-        ins = set(d.inputs)
         return (
-            all(v in ins for v in d.outputs)
+            all(v in self.ins for v in d.outputs)
             and d.num_edges() == 0
             and all(d.phase(v).is_zero() for v in d.spiders())
         )

@@ -85,6 +85,13 @@ def test_run_error_exit_code(tmp_path, capsys):
     assert "error" in rep and "frobnicate" in rep["error"]
 
 
+def test_run_rejects_max_ctrl_below_two(qasm_file, capsys):
+    rc = main(["run", str(qasm_file), "--max-ctrl", "1"])
+    assert rc == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["file"] == str(qasm_file) and "max_ctrl" in rep["error"]
+
+
 def test_run_missing_file(tmp_path, capsys):
     missing = tmp_path / "missing.qasm"
     rc = main(["run", str(missing)])

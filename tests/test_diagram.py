@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import combinations
 
@@ -158,6 +159,31 @@ def test_json_roundtrip():
     assert back.phase(vs[0]) == Phase(3, 8)
     v = back.add_spider()
     assert v not in set(d.spiders())
+
+
+def test_from_json_rejects_malformed():
+    # each edit of a well-formed dump raises a ValueError naming the problem
+    malformed = {
+        r"repeated edge \[0, 1\]": lambda data: data["edges"].append([0, 1]),
+        r"repeated edge \[1, 0\]": lambda data: data["edges"].append([1, 0]),
+        "self-loop": lambda data: data["edges"].append([2, 2]),
+        r"edge \[0, 5\] names an unknown spider": lambda data: data["edges"].append([0, 5]),
+        r"outputs name unknown spiders \[7\]": lambda data: data["outputs"].append(7),
+        r"inputs name unknown spiders \[9\]": lambda data: data["inputs"].append(9),
+        "1 inputs but 2 Hadamard flags": lambda data: data["input_hadamard"].append(False),
+        "1 outputs but 0 Hadamard flags": lambda data: data["output_hadamard"].pop(),
+    }
+    d = ZxDiagram(1, 1)
+    a, b, c = d.add_spider(), d.add_spider(), d.add_spider()
+    d.toggle_edge(a, b)
+    d.toggle_edge(b, c)
+    d.inputs, d.outputs = [a], [c]
+    assert ZxDiagram.from_json(d.to_json()).to_json() == d.to_json()
+    for message, edit in malformed.items():
+        data = json.loads(d.to_json())
+        edit(data)
+        with pytest.raises(ValueError, match=message):
+            ZxDiagram.from_json(json.dumps(data))
 
 
 def test_check_simple():

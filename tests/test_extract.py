@@ -129,6 +129,18 @@ def test_extraction_mode_rejects_unknown_kind():
         ExtractionMode("with_insert")
 
 
+def test_extraction_mode_rejects_max_ctrl_below_two():
+    # an NCP spans at least two qubits; a smaller cap would silently emit
+    # no NCP at all
+    for max_ctrl in (1, 0, -4):
+        with pytest.raises(ValueError, match="max_ctrl"):
+            ExtractionMode("with-insert", max_ctrl=max_ctrl)
+        with pytest.raises(ValueError, match="max_ctrl"):
+            synthesize(Circuit(3, (Gate("NCP", (0, 1, 2), Phase(1, 2)),)), "zx-with-insert", max_ctrl)
+    for max_ctrl in (None, 2, 3):
+        assert ExtractionMode("with-insert", max_ctrl=max_ctrl).max_ctrl == max_ctrl
+
+
 def test_extract_ncz3_as_single_ncp():
     c = Circuit(3, (Gate("NCZ", (0, 1, 2)),))
     d = circuit_to_diagram(c)
@@ -274,6 +286,35 @@ def test_extraction_scans_gadgets_once_per_cnp_step(monkeypatch):
             total_plans += plans
     # a rescan per plan would break the bound above on these runs
     assert total_plans > 0
+
+
+def test_eliminate_writes_back_reduced_rows():
+    # one CX step: each frontier row of the biadjacency afterwards is the
+    # rref of the matrix before, with one CX per row operation, in op order
+    total_ops = 0
+    for seed in range(12):
+        d = circuit_to_diagram(rand_corpus_circuit(seed, max_qubits=6, max_gates=40))
+        to_graph_like(d)
+        full_simplify(d)
+        ex = _Extractor(d, ExtractionMode())
+        d = ex.d
+        frontier = set(d.outputs)
+        rows = [q for q, v in enumerate(d.outputs) if v not in d.inputs or d.degree(v) > 0]
+        cols = sorted({w for q in rows for w in d.neighbors(d.outputs[q])} - frontier)
+        before = {v: d.neighbors(v) & frontier for v in d.outputs}
+
+        def matrix():
+            return [sum(1 << j for j, c in enumerate(cols) if d.has_edge(d.outputs[q], c)) for q in rows]
+
+        rref, ops, _ = row_reduce(matrix(), len(cols))
+        assert ex.eliminate() == bool(ops)
+        assert matrix() == rref, seed
+        assert ex.rev == [Gate("CX", (rows[dst], rows[src])) for src, dst in ops]
+        for v in d.outputs:
+            assert d.neighbors(v) <= set(cols) | frontier
+            assert d.neighbors(v) & frontier == before[v]
+        total_ops += len(ops)
+    assert total_ops > 0
 
 
 def test_max_ctrl_caps_arity():
