@@ -253,8 +253,13 @@ class ZxDiagram:
     def from_json(cls, text: str) -> "ZxDiagram":
         """Read :meth:`to_json`'s format; raises ValueError for a malformed diagram."""
         data = json.loads(text)
+        keys = ("spiders", "edges", "inputs", "outputs", "input_hadamard", "output_hadamard")
+        if missing := [k for k in keys if k not in data]:
+            raise ValueError(f"diagram lacks keys {missing}")
         d = cls()
         for v, (n, den) in sorted(((int(k), p) for k, p in data["spiders"].items())):
+            if den == 0:
+                raise ValueError(f"spider {v} has phase {[n, den]} with denominator 0")
             d._phases[v] = Phase(n, den)
             d._adj[v] = set()
             d._next_id = max(d._next_id, v + 1)
@@ -271,6 +276,8 @@ class ZxDiagram:
         for side, ids, flags in (("inputs", d.inputs, d.input_hadamard), ("outputs", d.outputs, d.output_hadamard)):
             if unknown := [v for v in ids if v not in d._adj]:
                 raise ValueError(f"{side} name unknown spiders {unknown}")
+            if len(set(ids)) < len(ids):
+                raise ValueError(f"{side} repeat spiders {sorted(v for v in set(ids) if ids.count(v) > 1)}")
             if len(flags) != len(ids):
                 raise ValueError(f"{len(ids)} {side} but {len(flags)} Hadamard flags")
         return d

@@ -323,5 +323,5 @@ def extract_circuit(d: ZxDiagram, mode: ExtractionMode = ExtractionMode()) -> Ci
     """Extract a circuit over {H, Rz, CZ, CX, NCP} from a diagram with gflow."""
     graph = labeled_graph_of(d)
     if find_gflow(graph) is None:
-        raise ExtractionError("diagram not extractable: no gflow")
+        raise ExtractionError("diagram not extractable: no gflow", d)
     return _Extractor(d, mode).run()

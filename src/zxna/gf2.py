@@ -2,11 +2,11 @@
 
 A matrix is a list of rows and each row is a Python int: bit ``j`` is the
 entry in column ``j``.  Only the columns below ``ncols`` take part in the
-elimination.  Higher bits ride along with every row operation, so a caller
-that sets one distinct bit per input row above ``ncols`` can read, from
-each reduced row, which input rows were added to make it.  The gflow
-search uses that to solve a whole layer with one elimination; circuit
-extraction uses the recorded row operations as CX gates.
+elimination.  Higher bits are augmented columns: they ride along with every
+row operation, so a caller that puts right-hand sides there reads each one's
+reduced form off the result.  The gflow search solves a whole layer that way
+with one elimination; circuit extraction uses the recorded row operations as
+CX gates.
 """
 
 from __future__ import annotations
@@ -27,19 +27,22 @@ def row_reduce(rows: list[int], ncols: int) -> tuple[list[int], list[tuple[int, 
     n = len(a)
     ops: list[tuple[int, int]] = []
     pivots: list[int] = []
+    mask = (1 << ncols) - 1
 
     def xor(src: int, dst: int) -> None:
         a[dst] ^= a[src]
         ops.append((src, dst))
 
-    r = 0
-    for c in range(ncols):
-        if r == n:
+    for r in range(n):
+        # rows r.. are zero left of the next pivot column: their OR's lowest bit
+        low = 0
+        for row in a[r:]:
+            low |= row
+        low &= mask
+        if not low:
             break
-        bit = 1 << c
-        pivot = next((i for i in range(r, n) if a[i] & bit), None)
-        if pivot is None:
-            continue
+        bit = low & -low
+        pivot = next(i for i in range(r, n) if a[i] & bit)
         if pivot != r:
             xor(pivot, r)
             xor(r, pivot)
@@ -47,6 +50,5 @@ def row_reduce(rows: list[int], ncols: int) -> tuple[list[int], list[tuple[int, 
         for i in range(n):
             if i != r and a[i] & bit:
                 xor(r, i)
-        pivots.append(c)
-        r += 1
+        pivots.append(bit.bit_length() - 1)
     return a, ops, pivots

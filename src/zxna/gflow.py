@@ -8,9 +8,10 @@ implements all three planes.
 The search produces a maximally delayed layering (Mhalla & Perdrix,
 "Finding optimal flows efficiently", ICALP 2008).  Every vertex pending in
 a layer shares one GF(2) system: the pending vertices' adjacency to the
-processed non-input vertices.  That matrix is eliminated once per layer
-and each pending vertex v then only needs its right-hand side over the
-pending rows (Backens et al., "There and back again", Quantum 5, 421):
+processed non-input vertices.  Each pending vertex v adds one augmented
+column, its right-hand side over the pending rows (Backens et al., "There
+and back again", Quantum 5, 421), so one elimination per layer solves all
+of them:
 
 - XY: the unit vector of v;
 - YZ: v's pending neighbors, since v corrects itself (never for inputs);
@@ -132,38 +133,33 @@ def _solve_layer(
 ) -> dict[int, frozenset[int]]:
     """Correction sets over ``cols`` for every solvable pending vertex.
 
-    Row i is pending vertex i's adjacency to the columns, with bit i set
-    above them to track row combinations.  After one elimination, the zero
-    rows' combinations span the left kernel and each pivot row's
-    combination gives its pivot column's entry of the solution.
+    Row i is pending vertex i's adjacency to the columns; bit ``ncols + j``
+    above them is row i's entry of pending vertex j's right-hand side.
+    After one elimination, vertex j has no solution if a zero row keeps
+    bit j, and otherwise each pivot row's bit j is its pivot column's entry
+    of the solution.
     """
     ncols = len(cols)
-    cidx = {c: j for j, c in enumerate(cols)}
-    pidx = {v: i for i, v in enumerate(pending)}
+    labels = graph.labels
+    # by symmetry, row i carries the right-hand-side bits of its XZ/YZ
+    # pending neighbors, and its own unless it is YZ
+    bit = {c: 1 << j for j, c in enumerate(cols)}
+    bit.update((v, 1 << (ncols + j)) for j, v in enumerate(pending) if labels[v] != "XY")
     rows = [
-        sum((1 << cidx[w] for w in graph.neighbors(u) if w in cidx), 1 << (ncols + i))
+        sum((bit[w] for w in graph.neighbors(u) if w in bit), 0 if labels[u] == "YZ" else 1 << (ncols + i))
         for i, u in enumerate(pending)
     ]
     rref, _, pivots = row_reduce(rows, ncols)
-    kernel = [row >> ncols for row in rref[len(pivots):]]
-    basis = [(cols[c], row >> ncols) for c, row in zip(pivots, rref)]
+    unsolvable = 0
+    for row in rref[len(pivots):]:
+        unsolvable |= row
     solved: dict[int, frozenset[int]] = {}
-    for v in pending:
-        lab = graph.labels[v]
-        include_self = lab in ("XZ", "YZ")
-        if include_self and v in graph.inputs:
+    for j, v in enumerate(pending):
+        corrects_self = labels[v] != "XY"
+        if unsolvable >> (ncols + j) & 1 or corrects_self and v in graph.inputs:
             continue
-        # XY and XZ need v in Odd(g(v)); XZ and YZ put v in g(v), which
-        # flips every pending neighbor of v
-        rhs = 1 << pidx[v] if lab in ("XY", "XZ") else 0
-        if include_self:
-            rhs ^= sum(1 << pidx[w] for w in graph.neighbors(v) if w in pidx)
-        if any((y & rhs).bit_count() & 1 for y in kernel):
-            continue
-        s = {c for c, comb in basis if (comb & rhs).bit_count() & 1}
-        if include_self:
-            s.add(v)
-        solved[v] = frozenset(s)
+        s = {cols[c] for c, row in zip(pivots, rref) if row >> (ncols + j) & 1}
+        solved[v] = frozenset(s | {v} if corrects_self else s)
     return solved
 
 

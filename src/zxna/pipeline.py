@@ -26,16 +26,25 @@ def synthesize(
     max_ctrl: Optional[int] = None,
     debug: bool = False,
 ) -> Circuit:
-    """Resynthesize a circuit with the chosen scheme, cancellation included."""
-    if pipeline == "no-decomp":
-        return cancel_gates(to_ncz_baseline(c))
+    """Resynthesize a circuit with the chosen scheme, cancellation included.
+
+    ``no-decomp`` keeps the input's controlled gates whole, so it raises
+    ValueError for one wider than ``max_ctrl`` instead of honouring the cap.
+    """
     if pipeline not in PIPELINES:
         raise ValueError(f"unknown pipeline {pipeline!r}")
+    kind = pipeline.removeprefix("zx-")
+    mode = ExtractionMode("default" if kind == "no-decomp" else kind, max_ctrl, debug)  # checks max_ctrl
+    if kind == "no-decomp":
+        out = cancel_gates(to_ncz_baseline(c))
+        for g in out.gates:
+            if g.kind in ("NCZ", "NCP") and max_ctrl is not None and len(g.qubits) > max_ctrl:
+                raise ValueError(f"no-decomp keeps {g.kind} on qubits {list(g.qubits)}, wider than max_ctrl {max_ctrl}")
+        return out
     d = circuit_to_diagram(c)
     to_graph_like(d)
     full_simplify(d)
-    out = extract_circuit(d, ExtractionMode(pipeline.removeprefix("zx-"), max_ctrl, debug))
-    return cancel_gates(out)
+    return cancel_gates(extract_circuit(d, mode))
 
 
 def run_pipeline(

@@ -19,6 +19,12 @@ qreg q[1];
 frobnicate q[0];
 """
 
+CCX = """OPENQASM 2.0;
+include "qelib1.inc";
+qreg q[3];
+ccx q[0],q[1],q[2];
+"""
+
 
 @pytest.fixture
 def qasm_file(tmp_path):
@@ -90,6 +96,20 @@ def test_run_rejects_max_ctrl_below_two(qasm_file, capsys):
     assert rc == 1
     rep = json.loads(capsys.readouterr().out)
     assert rep["file"] == str(qasm_file) and "max_ctrl" in rep["error"]
+
+
+def test_run_no_decomp_checks_max_ctrl(tmp_path, capsys):
+    # no-decomp keeps ccx as one arity-3 NCZ: it rejects a cap below 2 as the
+    # ZX pipelines do, and names that gate under a cap of 2
+    f = tmp_path / "ccx.qasm"
+    f.write_text(CCX)
+    for cap, error in (("0", "max_ctrl must be at least 2"), ("2", "NCZ on qubits [0, 1, 2], wider than max_ctrl 2")):
+        assert main(["run", str(f), "--pipeline", "no-decomp", "--max-ctrl", cap]) == 1
+        assert error in json.loads(capsys.readouterr().out)["error"]
+    assert main(["run", str(f), "--pipeline", "no-decomp", "--max-ctrl", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)[0]["counts"]["ncp"] == {"3": 1}
+    assert main(["run", str(f), "--max-ctrl", "2"]) == 0  # zx-with-insert decomposes it
+    assert set(json.loads(capsys.readouterr().out)[0]["counts"]["ncp"]) == {"2"}
 
 
 def test_run_missing_file(tmp_path, capsys):

@@ -4,8 +4,9 @@ from itertools import combinations
 
 import pytest
 
-from zxna import Phase, ZxDiagram
+from zxna import Circuit, Phase, ZxDiagram
 from zxna.cnp import add_cnp
+from zxna.ingest import circuit_to_diagram
 
 
 def _random_graph_diagram(seed, n=8, p=0.45):
@@ -172,6 +173,10 @@ def test_from_json_rejects_malformed():
         r"inputs name unknown spiders \[9\]": lambda data: data["inputs"].append(9),
         "1 inputs but 2 Hadamard flags": lambda data: data["input_hadamard"].append(False),
         "1 outputs but 0 Hadamard flags": lambda data: data["output_hadamard"].pop(),
+        r"spider 1 has phase \[1, 0\] with denominator 0": lambda data: data["spiders"].update({"1": [1, 0]}),
+        r"diagram lacks keys \['inputs'\]": lambda data: data.pop("inputs"),
+        r"inputs repeat spiders \[0\]": lambda data: data.update(inputs=[0, 0], input_hadamard=[False, True]),
+        r"outputs repeat spiders \[2\]": lambda data: data.update(outputs=[2, 1, 2], output_hadamard=[False] * 3),
     }
     d = ZxDiagram(1, 1)
     a, b, c = d.add_spider(), d.add_spider(), d.add_spider()
@@ -179,6 +184,9 @@ def test_from_json_rejects_malformed():
     d.toggle_edge(b, c)
     d.inputs, d.outputs = [a], [c]
     assert ZxDiagram.from_json(d.to_json()).to_json() == d.to_json()
+    # a bare wire's spider is both an input and an output
+    wires = circuit_to_diagram(Circuit(2)).to_json()
+    assert ZxDiagram.from_json(wires).to_json() == wires
     for message, edit in malformed.items():
         data = json.loads(d.to_json())
         edit(data)

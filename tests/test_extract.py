@@ -90,6 +90,20 @@ def test_gaussian_eliminate_replay_gives_rref():
                 assert low[i] == 0 and comb != 0
 
 
+def test_row_reduce_digest():
+    # (rref, ops, pivots) on seeded matrices, some with bits above ncols and
+    # some with ncols = 0; extraction's CX gates are these ops, so a change
+    # to the elimination must update this digest on purpose
+    rng = random.Random(17)
+    h = hashlib.sha256()
+    for k in range(2400):
+        nrows, ncols = rng.randint(0, 12), rng.randint(0, 12) if k % 8 else 0
+        extra, p = rng.choice((0, 0, 3, 12)), rng.choice((0.1, 0.3, 0.5, 0.8))
+        rows = [sum(1 << j for j in range(ncols + extra) if rng.random() < p) for _ in range(nrows)]
+        h.update(repr(row_reduce(rows, ncols)).encode())
+    assert h.hexdigest() == "1c67409f4ed1f8a11a6b1c8b04b119a2f7421a55b76f18e1710261bf806bae97"
+
+
 def test_extract_identity():
     d = circuit_to_diagram(Circuit(2))
     out = cancel_gates(extract_circuit(d))
@@ -101,8 +115,11 @@ def test_extract_requires_gflow():
     o = d.add_spider()
     d.outputs = [o]
     stray = d.add_spider(Phase(1, 4))
-    with pytest.raises(ExtractionError):
+    with pytest.raises(ExtractionError, match="no gflow") as info:
         extract_circuit(d)
+    # the message carries the diagram, as every other ExtractionError does
+    dump = str(info.value).split("\ndiagram: ", 1)[1]
+    assert ZxDiagram.from_json(dump).to_json() == d.to_json()
 
 
 def test_extract_honours_input_hadamard():

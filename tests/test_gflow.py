@@ -1,9 +1,10 @@
+import hashlib
 import itertools
 
 import pytest
 
-from helpers import all_small_open_graphs, brute_gflow_exists, rand_open_graph
-from zxna import Circuit, Gate, Phase, ZxDiagram, find_gflow, verify_gflow
+from helpers import all_small_open_graphs, brute_gflow_exists, qft_circuit, rand_open_graph
+from zxna import Circuit, Gate, Phase, ZxDiagram, find_gflow, full_simplify, verify_gflow
 from zxna.gflow import GFlow, LabeledOpenGraph, extend_gflow_insertion, labeled_graph_of, odd_neighborhood
 from zxna.ingest import circuit_to_diagram, to_graph_like
 
@@ -116,3 +117,23 @@ def test_find_gflow_matches_brute_force_random():
         assert (f is not None) == brute_gflow_exists(g)
         if f is not None:
             assert verify_gflow(g, f)
+
+
+def test_find_gflow_digest():
+    # correction sets and levels on every open graph of up to 3 vertices,
+    # random XY/XZ/YZ graphs and simplified QFT diagrams (qft48 is the scale
+    # canary); a change to the search must update this digest on purpose
+    graphs = list(all_small_open_graphs(3))
+    graphs += [rand_open_graph(seed, 6, 14) for seed in range(300)]
+    for n in (8, 20, 48):
+        d = circuit_to_diagram(qft_circuit(n))
+        to_graph_like(d)
+        full_simplify(d)
+        graphs.append(labeled_graph_of(d))
+    h = hashlib.sha256()
+    for g in graphs:
+        f = find_gflow(g)
+        key = None if f is None else (sorted((v, sorted(s)) for v, s in f.g.items()), sorted(f.order.items()))
+        h.update(repr(key).encode())
+    assert len(graphs) == 4535
+    assert h.hexdigest() == "b5852decd758bebf22147a649ce808fc08586cfef46dc54ffd6327f95ab5f77a"
