@@ -18,8 +18,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .circuit import Circuit, Gate
+from .circuit import ANGLE_KINDS, Circuit, Gate
 from .oracle import gate_matrix
+from .phase import Phase
 
 __all__ = [
     "GR",
@@ -139,13 +140,12 @@ def _to_ncp(g: Gate) -> Ncp:
     return Ncp(g.qubits, math.pi)  # CZ / NCZ
 
 
-def layerize(c: Circuit) -> list:
-    """Alternating [1q-dict, ncp-list, 1q-dict, ...] layers of a circuit.
+def _chain_layers(c: Circuit) -> list:
+    """``layerize``'s layers with each single-qubit slot as its chain.
 
-    Single-qubit layers map each active qubit to the 2x2 product of its
-    consecutive single-qubit gates; multi-qubit layers hold Ncp ops in
-    execution order.  Gates are packed as early as the qubit frontiers
-    allow.
+    A chain lists the keys ``(kind, numerator, denominator)`` of the slot's
+    consecutive single-qubit gates in execution order; a gate without an
+    angle has numerator 0 and denominator 1.
     """
     layers: list = [dict()]
     avail = [0] * c.num_qubits
@@ -155,10 +155,9 @@ def layerize(c: Circuit) -> list:
             layers.append([] if len(layers) % 2 == 1 else dict())
         return layers[i]
 
-    def put_1q(q: int, mat: np.ndarray) -> None:
+    def put_1q(q: int, key: tuple) -> None:
         i = avail[q] if avail[q] % 2 == 0 else avail[q] + 1
-        lay = layer_at(i)
-        lay[q] = mat @ lay[q] if q in lay else mat
+        layer_at(i).setdefault(q, []).append(key)
         avail[q] = i
 
     def put_mq(op: Ncp) -> None:
@@ -167,7 +166,7 @@ def layerize(c: Circuit) -> list:
         for q in op.qubits:
             avail[q] = i + 1
 
-    h = gate_matrix(Gate("H", (0,)))
+    h = ("H", 0, 1)
     for g in c.gates:
         if g.kind == "CX":
             ctl, tgt = g.qubits
@@ -182,7 +181,8 @@ def layerize(c: Circuit) -> list:
         elif g.kind in ("CZ", "NCZ", "NCP"):
             put_mq(_to_ncp(g))
         elif len(g.qubits) == 1:
-            put_1q(g.qubits[0], gate_matrix(g))
+            a = g.angle
+            put_1q(g.qubits[0], (g.kind, 0, 1) if a is None else (g.kind, a.numerator, a.denominator))
         else:
             raise ValueError(f"cannot layerize gate kind {g.kind!r}")
 
@@ -191,42 +191,97 @@ def layerize(c: Circuit) -> list:
     return layers
 
 
+def _chain_matrix(chain: list, mats: dict) -> np.ndarray:
+    """Product of a chain's gate matrices, later gates on the left.
+
+    The product is folded one gate at a time with numpy's ``@``, whose
+    rounding a hand-written 2x2 product does not reproduce bit for bit.
+    ``mats`` memoizes each key's ``gate_matrix``; the caller decides its
+    lifetime.
+    """
+    u = None
+    for key in chain:
+        m = mats.get(key)
+        if m is None:
+            kind, n, d = key
+            m = mats[key] = gate_matrix(Gate(kind, (0,), Phase(n, d) if kind in ANGLE_KINDS else None))
+        u = m if u is None else m @ u
+    return u
+
+
+def layerize(c: Circuit) -> list:
+    """Alternating [1q-dict, ncp-list, 1q-dict, ...] layers of a circuit.
+
+    Single-qubit layers map each active qubit to the 2x2 product of its
+    consecutive single-qubit gates; multi-qubit layers hold Ncp ops in
+    execution order.  Gates are packed as early as the qubit frontiers
+    allow.
+    """
+    layers = _chain_layers(c)
+    mats: dict = {}
+    return [{q: _chain_matrix(ch, mats) for q, ch in lay.items()} if i % 2 == 0 else lay
+            for i, lay in enumerate(layers)]
+
+
 def _euler_layers(layers: list) -> list:
     """Euler triple of every unitary of the single-qubit layers; None for the others."""
     return [{q: zyz_angles(u) for q, u in lay.items()} if i % 2 == 0 else None
             for i, lay in enumerate(layers)]
 
 
+def _chain_eulers(layers: list) -> list:
+    """``_euler_layers`` of chain layers, one ``zyz_angles`` per distinct chain."""
+    mats: dict = {}
+    triples: dict = {}
+
+    def triple(chain: list) -> tuple[float, float, float]:
+        key = tuple(chain)
+        t = triples.get(key)
+        if t is None:
+            t = triples[key] = zyz_angles(_chain_matrix(chain, mats))
+        return t
+
+    return [{q: triple(ch) for q, ch in lay.items()} if i % 2 == 0 else None
+            for i, lay in enumerate(layers)]
+
+
 def _reassign(layers: list, eulers: list) -> None:
-    """Core of ``greedy_assign``: every move carries a unitary and its triple together."""
+    """Core of ``greedy_assign``: every move carries a slot and its triple together."""
     # qubits of each multi-qubit layer; moves touch only the single-qubit layers
     busy = [None if i % 2 == 0 else {q for op in lay for q in op.qubits}
             for i, lay in enumerate(layers)]
+    # theta_max of each single-qubit layer, kept up to date across moves
+    tmax = [None if e is None else max((t for _, t, _ in e.values()), default=0.0) for e in eulers]
     for _ in range(REASSIGN_PASSES):
         moved = False
         for i in range(0, len(layers), 2):
-            for q in sorted(layers[i]):
-                tq = eulers[i][q][1]
-                others = max((e[1] for p, e in eulers[i].items() if p != q), default=0.0)
-                if tq <= others + _EPS:
+            lay = eulers[i]
+            for q in sorted(lay):
+                tq = lay[q][1]
+                if tq < tmax[i]:
                     continue  # not the critical gate of its layer
+                others = 0.0
+                for p, e in lay.items():
+                    if p != q and e[1] > others:
+                        others = e[1]
+                        if others >= tq:
+                            break
+                if tq <= others + _EPS:
+                    continue  # shares the layer's largest theta
                 best_j, best_delta = None, -_EPS
                 for step in (-2, 2):
                     j = i + step
-                    while 0 <= j < len(layers):
-                        if q in busy[j - step // 2]:  # the odd layer crossed
-                            break
-                        if q not in layers[j]:
-                            tj = max((e[1] for e in eulers[j].values()), default=0.0)
-                            delta = (others - tq) + (max(tj, tq) - tj)
-                            if delta < best_delta:
-                                best_j, best_delta = j, delta
-                        else:
-                            break
+                    # stop at the odd layer crossed if q is busy there, or at q's own next slot
+                    while 0 <= j < len(layers) and q not in busy[j - step // 2] and q not in eulers[j]:
+                        tj = tmax[j]
+                        delta = (others - tq) + (max(tj, tq) - tj)
+                        if delta < best_delta:
+                            best_j, best_delta = j, delta
                         j += step
                 if best_j is not None:
                     layers[best_j][q] = layers[i].pop(q)
-                    eulers[best_j][q] = eulers[i].pop(q)
+                    eulers[best_j][q] = lay.pop(q)
+                    tmax[i], tmax[best_j] = others, max(tmax[best_j], tq)
                     moved = True
         if not moved:
             break
@@ -247,11 +302,12 @@ def greedy_assign(layers: list) -> list:
     return layers
 
 
-def _decompose(eulers: dict, num_qubits: int, mids: dict) -> list[NativeOp]:
+def _decompose(eulers: dict, num_qubits: int, mids: dict, corrs: dict) -> list[NativeOp]:
     """Core of ``transversal_decompose`` on the layer's Euler triples.
 
     ``mids`` memoizes the outer Euler angles (nu, mu) of each middle pulse
-    Ry(half) Rz(b) Ry(half) on (half, b); the caller decides its lifetime.
+    Ry(half) Rz(b) Ry(half) on (half, b), and ``corrs`` each qubit's
+    corrections on (half, triple); the caller decides their lifetime.
     """
     tmax = max((t for _, t, _ in eulers.values()), default=0.0)
     if tmax < 1e-12:
@@ -262,22 +318,27 @@ def _decompose(eulers: dict, num_qubits: int, mids: dict) -> list[NativeOp]:
                 angles[q] = a
         return [RzLayer(angles)] if angles else []
     half = tmax / 2.0
+    sin_half = math.sin(half)
 
-    def corrections(beta: float, theta: float, alpha: float) -> tuple[float, float, float]:
-        ratio = math.sin(theta / 2.0) / math.sin(half)
-        b = 2.0 * math.acos(min(1.0, max(0.0, ratio)))
-        if (half, b) not in mids:
-            nu, _, mu = zyz_angles(_ry(half) @ _rz(b) @ _ry(half))
-            mids[half, b] = nu, mu
-        nu, mu = mids[half, b]
-        return _norm_angle(beta - nu), b, _norm_angle(alpha - mu)
+    def corrections(triple: tuple[float, float, float]) -> tuple[float, float, float]:
+        got = corrs.get((half, triple))
+        if got is None:
+            beta, theta, alpha = triple
+            ratio = math.sin(theta / 2.0) / sin_half
+            b = 2.0 * math.acos(min(1.0, max(0.0, ratio)))
+            if (half, b) not in mids:
+                nu, _, mu = zyz_angles(_ry(half) @ _rz(b) @ _ry(half))
+                mids[half, b] = nu, mu
+            nu, mu = mids[half, b]
+            got = corrs[half, triple] = _norm_angle(beta - nu), b, _norm_angle(alpha - mu)
+        return got
 
-    idle = corrections(0.0, 0.0, 0.0) if len(eulers) < num_qubits else None  # b = pi
+    idle = corrections((0.0, 0.0, 0.0)) if len(eulers) < num_qubits else None  # b = pi
     pre: dict[int, float] = {}
     mid: dict[int, float] = {}
     post: dict[int, float] = {}
     for q in range(num_qubits):
-        a, b, cc = corrections(*eulers[q]) if q in eulers else idle
+        a, b, cc = corrections(eulers[q]) if q in eulers else idle
         if abs(a) > _EPS:
             pre[q] = a
         if abs(b) > _EPS:
@@ -307,7 +368,7 @@ def transversal_decompose(layer: dict, num_qubits: int) -> list[NativeOp]:
     triples of ``layer`` itself; ``schedule`` passes in the triples it
     computed once per unitary.
     """
-    return _decompose({q: zyz_angles(u) for q, u in layer.items()}, num_qubits, {})
+    return _decompose({q: zyz_angles(u) for q, u in layer.items()}, num_qubits, {}, {})
 
 
 def execution_time(ops, config: TimeConfig = TimeConfig()) -> float:
@@ -330,18 +391,20 @@ def schedule(c: Circuit, config: TimeConfig = TimeConfig()) -> Schedule:
     """Full lowering: layerize, reassign, decompose, and time the circuit.
 
     The same steps as ``layerize``, ``greedy_assign`` and
-    ``transversal_decompose``, but the Euler triple of each layer unitary
-    is computed once, right after ``layerize``, and moves with its unitary
-    through the reassignment into the decomposition.  Middle-pulse angles
-    are memoized for this one call.
+    ``transversal_decompose``, but the layers hold chains of gate keys, not
+    matrices.  The Euler triple of each distinct chain is computed once,
+    from the product ``layerize`` would build, and moves with its slot
+    through the reassignment into the decomposition.  Chain triples,
+    middle-pulse angles and corrections are memoized for this one call.
     """
-    layers = layerize(c)
-    eulers = _euler_layers(layers)
+    layers = _chain_layers(c)
+    eulers = _chain_eulers(layers)
     _reassign(layers, eulers)
     mids: dict = {}
+    corrs: dict = {}
     ops: list[NativeOp] = []
     for i, lay in enumerate(layers):
-        ops.extend(_decompose(eulers[i], c.num_qubits, mids) if i % 2 == 0 else lay)
+        ops.extend(_decompose(eulers[i], c.num_qubits, mids, corrs) if i % 2 == 0 else lay)
     return Schedule(tuple(ops), execution_time(ops, config))
 
 

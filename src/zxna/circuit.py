@@ -143,31 +143,39 @@ def cancel_gates(c: Circuit) -> Circuit:
     """
     gates = list(c.gates)
     for _ in range(CANCEL_PASSES):
-        out: list[Gate] = []
+        out: list[Optional[Gate]] = []  # None marks a gate removed by a merge
+        # indices into out of each qubit's gates, latest on top
+        stacks: list[list[int]] = [[] for _ in range(c.num_qubits)]
         changed = False
         for g in gates:
-            merged = False
-            qs = set(g.qubits)
-            # scan backwards past gates on disjoint qubits
-            for i in range(len(out) - 1, -1, -1):
-                prev = out[i]
-                if not qs & set(prev.qubits):
-                    continue
-                repl = _merge(prev, g)
+            # out[i] is the nearest earlier gate sharing a qubit, on top of
+            # `shared` of g's stacks; gates on disjoint qubits commute past
+            i = shared = -1
+            for q in g.qubits:
+                s = stacks[q]
+                if s and s[-1] > i:
+                    i, shared = s[-1], 1
+                elif s and s[-1] == i:
+                    shared += 1
+            # a merge needs equal qubit sets, so out[i] must top each of g's stacks
+            if shared == len(g.qubits) == len(out[i].qubits):
+                repl = _merge(out[i], g)
                 if repl is not None:
-                    out[i : i + 1] = repl
-                    merged = True
                     changed = True
-                break
-            if not merged:
-                if g.kind == "Rz" and g.angle.is_zero():
-                    changed = True
+                    if repl:
+                        out[i] = repl[0]
+                    else:
+                        out[i] = None
+                        for q in g.qubits:
+                            stacks[q].pop()
                     continue
-                if g.kind in ("Rx", "Ry", "NCP") and g.angle.is_zero():
-                    changed = True
-                    continue
-                out.append(g)
-        gates = out
+            if g.kind in ("Rz", "Rx", "Ry", "NCP") and g.angle.is_zero():
+                changed = True
+                continue
+            for q in g.qubits:
+                stacks[q].append(len(out))
+            out.append(g)
+        gates = [g for g in out if g is not None]
         if not changed:
             break
     return c.with_gates(gates)

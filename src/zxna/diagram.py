@@ -253,17 +253,31 @@ class ZxDiagram:
     def from_json(cls, text: str) -> "ZxDiagram":
         """Read :meth:`to_json`'s format; raises ValueError for a malformed diagram."""
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError(f"diagram is {type(data).__name__} {data!r}, not an object")
         keys = ("spiders", "edges", "inputs", "outputs", "input_hadamard", "output_hadamard")
         if missing := [k for k in keys if k not in data]:
             raise ValueError(f"diagram lacks keys {missing}")
+        if wrong := [k for k in keys if not isinstance(data[k], dict if k == "spiders" else list)]:
+            raise ValueError(f"diagram keys {wrong} hold the wrong JSON type")
         d = cls()
-        for v, (n, den) in sorted(((int(k), p) for k, p in data["spiders"].items())):
+        spiders = []
+        for k, p in data["spiders"].items():
+            if not k.isdecimal():
+                raise ValueError(f"spider key {k!r} is not a spider number")
+            if not (isinstance(p, list) and len(p) == 2 and all(type(x) is int for x in p)):
+                raise ValueError(f"spider {k} has phase {p!r}, not a pair of integers")
+            spiders.append((int(k), p))
+        for v, (n, den) in sorted(spiders):
             if den == 0:
                 raise ValueError(f"spider {v} has phase {[n, den]} with denominator 0")
             d._phases[v] = Phase(n, den)
             d._adj[v] = set()
             d._next_id = max(d._next_id, v + 1)
-        for u, v in data["edges"]:
+        for e in data["edges"]:
+            if not (isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e)):
+                raise ValueError(f"edge {e!r} is not a pair of spiders")
+            u, v = e
             if u not in d._adj or v not in d._adj:
                 raise ValueError(f"edge {[u, v]} names an unknown spider")
             if u == v:
@@ -274,10 +288,12 @@ class ZxDiagram:
         d.inputs, d.outputs = list(data["inputs"]), list(data["outputs"])
         d.input_hadamard, d.output_hadamard = list(data["input_hadamard"]), list(data["output_hadamard"])
         for side, ids, flags in (("inputs", d.inputs, d.input_hadamard), ("outputs", d.outputs, d.output_hadamard)):
-            if unknown := [v for v in ids if v not in d._adj]:
+            if unknown := [v for v in ids if type(v) is not int or v not in d._adj]:
                 raise ValueError(f"{side} name unknown spiders {unknown}")
             if len(set(ids)) < len(ids):
                 raise ValueError(f"{side} repeat spiders {sorted(v for v in set(ids) if ids.count(v) > 1)}")
             if len(flags) != len(ids):
                 raise ValueError(f"{len(ids)} {side} but {len(flags)} Hadamard flags")
+            if not all(type(f) is bool for f in flags):
+                raise ValueError(f"{side} Hadamard flags {flags} are not all booleans")
         return d

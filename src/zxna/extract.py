@@ -255,9 +255,11 @@ class _Extractor:
         rref, ops, _ = row_reduce(m, len(cols))
         self.rev.extend(Gate("CX", (rows[dst], rows[src])) for src, dst in ops)
         for q, old, new in zip(rows, m, rref):
-            for j, c in enumerate(cols):
-                if (old ^ new) >> j & 1:
-                    d.toggle_edge(d.outputs[q], c)
+            diff = old ^ new
+            while diff:  # the changed columns, lowest first
+                low = diff & -diff
+                d.toggle_edge(d.outputs[q], cols[low.bit_length() - 1])
+                diff ^= low
         return bool(ops)
 
     def yz_pivot_step(self) -> bool:

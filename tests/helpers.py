@@ -9,6 +9,7 @@ import random
 import numpy as np
 
 from zxna import Circuit, Gate, Phase
+from zxna.circuit import CANCEL_PASSES, _merge
 from zxna.backend import GR, Ncp, RzLayer
 from zxna.gflow import LabeledOpenGraph, odd_neighborhood
 
@@ -241,3 +242,32 @@ def all_small_open_graphs(max_v: int = 3):
                 for labs in product(("XY", "XZ", "YZ"), repeat=len(non_out)):
                     labels = dict(zip(non_out, labs))
                     yield LabeledOpenGraph(verts, edges, inputs, outputs, labels)
+
+
+def cancel_gates_reference(c: Circuit) -> Circuit:
+    """``cancel_gates`` that scans back from the end of the output for each gate."""
+    gates = list(c.gates)
+    for _ in range(CANCEL_PASSES):
+        out: list[Gate] = []
+        changed = False
+        for g in gates:
+            merged = False
+            qs = set(g.qubits)
+            for i in range(len(out) - 1, -1, -1):
+                prev = out[i]
+                if not qs & set(prev.qubits):
+                    continue
+                repl = _merge(prev, g)
+                if repl is not None:
+                    out[i : i + 1] = repl
+                    merged = changed = True
+                break
+            if not merged:
+                if g.kind in ("Rz", "Rx", "Ry", "NCP") and g.angle.is_zero():
+                    changed = True
+                    continue
+                out.append(g)
+        gates = out
+        if not changed:
+            break
+    return c.with_gates(gates)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -166,6 +167,26 @@ def test_reassign_moves_each_triple_with_its_unitary():
     assert moved > 0  # the corpus exercises the moves
 
 
+def test_schedule_digest():
+    # schedule JSON and the bytes of every layer unitary on rich circuits,
+    # which lower Swap, Rx, Ry, X, Y and T and leave zero-theta layers; a
+    # change meant to be performance-only must leave this digest as it is
+    h = hashlib.sha256()
+    zero_theta = 0
+    for seed in range(300):
+        c = rand_rich_circuit(seed)
+        h.update(schedule(c).to_json().encode())
+        for i, lay in enumerate(layerize(c)):
+            if i % 2:
+                h.update(repr(lay).encode())
+                continue
+            for q, u in sorted(lay.items()):
+                h.update(b"%d:" % q + u.tobytes())
+            zero_theta += max((zyz_angles(u)[1] for u in lay.values()), default=1.0) < 1e-12
+    assert zero_theta > 0
+    assert h.hexdigest() == "aa3390765db4857e27b375ad80c8b6ff8fb6d9ba16bb3612abfe1130474262f5"
+
+
 def _norm_angle_reference(x: float) -> float:
     y = math.remainder(x, 2 * math.pi)
     if y <= -math.pi + 1e-12 / 2 and not math.isclose(y, math.pi):
@@ -219,8 +240,9 @@ def test_middle_pulse_memo_matches_recomputation(monkeypatch):
     ]
     assert len({zyz_angles(u)[1] for u in (*layers[0].values(), layers[1][3])}) == 2
     mids: dict = {}
+    corrs: dict = {}
     for layer in layers:
-        got = _decompose({q: zyz_angles(u) for q, u in layer.items()}, 7, mids)
+        got = _decompose({q: zyz_angles(u) for q, u in layer.items()}, 7, mids, corrs)
         assert got == _decompose_reference(layer, 7)
         assert got == transversal_decompose(layer, 7)
     # one entry per distinct (half, b): b = 0, pi and two smaller-theta b values
@@ -242,6 +264,41 @@ def test_middle_pulse_memo_matches_recomputation(monkeypatch):
     # a memo outliving one schedule() call would make later calls cheaper
     assert per_call[0] == per_call[1] == per_call[2]
     assert not [k for k, v in vars(backend).items() if isinstance(v, dict) and not k.startswith("__")]
+
+
+def test_schedule_one_triple_per_distinct_chain(monkeypatch):
+    # walls of H then Rz(pi/4) on every qubit between CZ walls: 202 slots
+    # that hold two distinct chains
+    n = 6
+    gates = []
+    for r in range(40):
+        gates += [Gate("H", (q,)) for q in range(n)]
+        gates += [Gate("Rz", (q,), Phase(1, 4)) for q in range(n)]
+        gates += [Gate("CZ", (q, q + 1)) for q in range(r % 2, n - 1, 2)]
+    c = Circuit(n, tuple(gates))
+    layers = backend._chain_layers(c)
+    chains = {tuple(ch) for lay in layers[::2] for ch in lay.values()}
+    assert sum(map(len, layers[::2])) == 202 and len(chains) == 2
+
+    calls = []
+
+    def counting_zyz(u):
+        calls.append(1)
+        return zyz_angles(u)
+
+    memos = {}
+
+    def keeping_mids(eulers, num_qubits, mids, corrs):
+        memos[id(mids)] = mids
+        return _decompose(eulers, num_qubits, mids, corrs)
+
+    monkeypatch.setattr(backend, "zyz_angles", counting_zyz)
+    monkeypatch.setattr(backend, "_decompose", keeping_mids)
+    ops = schedule(c).ops
+    (mids,) = memos.values()  # one middle-pulse memo per call
+    assert len(calls) <= len(chains) + len(mids)
+    monkeypatch.undo()
+    assert ops == schedule(c).ops
 
 
 def test_execution_time_units():

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from helpers import rand_rich_circuit
+from helpers import cancel_gates_reference, rand_rich_circuit
 from zxna import Circuit, Gate, Phase, cancel_gates, circuit_unitary, equal_up_to_scalar, to_ncz_baseline
 
 
@@ -71,6 +73,43 @@ def test_cancel_preserves_unitary():
         out = cancel_gates(c)
         assert len(out) <= len(c)
         assert equal_up_to_scalar(circuit_unitary(out), circuit_unitary(c), 1e-9)
+
+
+def _disjoint_runs_circuit(seed: int) -> Circuit:
+    """Gate pairs that may cancel or merge, each pair split by a long run on the other qubits."""
+    rng = random.Random(seed)
+    n = 8
+    gates = []
+    for _ in range(10):
+        qs = tuple(rng.sample(range(n), rng.randint(1, 3)))
+        rest = [q for q in range(n) if q not in qs]
+        angle = Phase(rng.randint(-3, 4), 4)
+        if len(qs) == 1:
+            pair = [Gate(rng.choice(("H", "X", "S", "T")), qs), Gate("Rz", qs, angle)]
+        elif len(qs) == 2:
+            pair = [Gate(rng.choice(("CX", "CZ", "Swap")), qs), Gate("NCP", qs[::-1], angle)]
+        else:
+            pair = [Gate("NCZ", qs), Gate("NCP", qs[::-1], angle)]
+        gates.append(rng.choice(pair))
+        for _ in range(rng.randint(5, 60)):
+            if len(rest) > 1 and rng.random() < 0.3:
+                gates.append(Gate(rng.choice(("CX", "CZ")), tuple(rng.sample(rest, 2))))
+            else:
+                gates.append(Gate(rng.choice(("H", "T", "Tdg", "X")), (rng.choice(rest),)))
+        gates.append(rng.choice(pair))
+    return Circuit(n, tuple(gates))
+
+
+def test_cancel_matches_scan_back_reference():
+    circuits = [rand_rich_circuit(seed) for seed in range(300)]
+    circuits += [rand_rich_circuit(seed, max_qubits=3, max_gates=80) for seed in range(100)]
+    circuits += [_disjoint_runs_circuit(seed) for seed in range(100)]
+    removed = 0
+    for c in circuits:
+        out = cancel_gates(c)
+        assert out.gates == cancel_gates_reference(c).gates
+        removed += len(c) - len(out)
+    assert removed > 1000  # the corpus exercises the merges
 
 
 def test_baseline_cx():

@@ -177,6 +177,13 @@ def test_from_json_rejects_malformed():
         r"diagram lacks keys \['inputs'\]": lambda data: data.pop("inputs"),
         r"inputs repeat spiders \[0\]": lambda data: data.update(inputs=[0, 0], input_hadamard=[False, True]),
         r"outputs repeat spiders \[2\]": lambda data: data.update(outputs=[2, 1, 2], output_hadamard=[False] * 3),
+        r"spider 1 has phase 5, not a pair of integers": lambda data: data["spiders"].update({"1": 5}),
+        r"spider 1 has phase \[1.5, 2\], not a pair of integers": lambda data: data["spiders"].update({"1": [1.5, 2]}),
+        r"edge \[0\] is not a pair of spiders": lambda data: data["edges"].append([0]),
+        "spider key 'x' is not a spider number": lambda data: data["spiders"].update({"x": [0, 1]}),
+        r"diagram keys \['spiders', 'inputs'\] hold the wrong JSON type": lambda data: data.update(spiders=[], inputs=5),
+        r"inputs name unknown spiders \[\[0\]\]": lambda data: data["inputs"].append([0]),
+        r"outputs Hadamard flags \['x'\] are not all booleans": lambda data: data.update(output_hadamard=["x"]),
     }
     d = ZxDiagram(1, 1)
     a, b, c = d.add_spider(), d.add_spider(), d.add_spider()
@@ -192,6 +199,8 @@ def test_from_json_rejects_malformed():
         edit(data)
         with pytest.raises(ValueError, match=message):
             ZxDiagram.from_json(json.dumps(data))
+    with pytest.raises(ValueError, match="diagram is int 5, not an object"):
+        ZxDiagram.from_json("5")
 
 
 def test_check_simple():
