@@ -16,7 +16,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Optional
+from operator import attrgetter
+from typing import AbstractSet, Iterable, Iterator, Optional
 
 from .phase import Phase
 
@@ -94,6 +95,10 @@ class ZxDiagram:
 
     def neighbors(self, v: int) -> set[int]:
         return set(self._adj[v])
+
+    def adjacent(self, v: int) -> AbstractSet[int]:
+        """v's own neighbour set, not a copy: read it before the next change, never write it."""
+        return self._adj[v]
 
     def degree(self, v: int) -> int:
         return len(self._adj[v])
@@ -195,9 +200,14 @@ class ZxDiagram:
             return None
         return root
 
-    def gadget_root(self, top: int) -> Optional[int]:
-        """The root of the gadget whose top is ``top``; None if ``top`` is no gadget's top."""
-        return self._gadget_root(top, self.boundary()) if len(self._adj[top]) == 1 else None
+    def gadget_root(self, top: int, boundary: Optional[AbstractSet[int]] = None) -> Optional[int]:
+        """The root of the gadget whose top is ``top``; None if ``top`` is no gadget's top.
+
+        A scan that calls this per spider may pass :meth:`boundary`, read once.
+        """
+        if len(self._adj[top]) != 1:
+            return None
+        return self._gadget_root(top, self.boundary() if boundary is None else boundary)
 
     def find_gadgets(self) -> list[GadgetView]:
         """All phase gadgets, in ascending top id, i.e. in the order their tops were created."""
@@ -206,6 +216,23 @@ class ZxDiagram:
             root = self._gadget_root(top, boundary)
             if root is not None:
                 out.append(GadgetView(top, root, frozenset(self._adj[root] - {top}), self._phases[top]))
+        return out
+
+    def frontier_gadgets(self, frontier: AbstractSet[int]) -> list[GadgetView]:
+        """The gadgets whose legs, two or more, all lie in ``frontier`` (outputs), in ascending top id.
+
+        The same list as filtering :meth:`find_gadgets`, found from the
+        frontier's neighbourhood: such a gadget's root is a non-frontier
+        neighbour of the frontier whose one non-frontier neighbour is its top.
+        """
+        out, boundary, adj = [], self.boundary(), self._adj
+        for root in {w for v in frontier for w in adj[v]} - frontier:
+            off = adj[root] - frontier
+            if len(off) == 1 and len(adj[root]) >= 3:
+                (top,) = off
+                if self._gadget_root(top, boundary) == root:
+                    out.append(GadgetView(top, root, frozenset(adj[root] - off), self._phases[top]))
+        out.sort(key=attrgetter("top"))
         return out
 
     def hanging(self) -> Iterator[tuple[int, int]]:

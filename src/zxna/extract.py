@@ -8,8 +8,22 @@ matrix emits CX gates until one does.  Gadget roots blocking the frontier
 are pivoted back into the XY plane.  The collected gates are in reverse
 order and flipped at the end.
 
-The controlled-phase step scans for gadgets once, then matches on an index
-of the (fixed) frontier's gadgets that each plan updates.  Gadgets a plan
+Each step runs only when an earlier change can have enabled it:
+
+- the CZ pull reads and clears only frontier-frontier wires;
+- the NCP pull reads gadgets whose legs all lie on the frontier, clears
+  anchor phases and changes only root-leg wires;
+- the Rz pull clears frontier phases;
+- elimination toggles only frontier-non-frontier wires.
+
+So the pulls can enable only a Hadamard advance: a round without one is
+settled and goes straight to elimination.  After an elimination with row
+operations only the NCP pull and the advance can apply, and elimination
+itself is skipped until a step changes the diagram, since the reduced rows
+reduce with no operation.  An advance or a YZ pivot re-enables every step.
+
+The NCP step finds the frontier's gadgets from the frontier's neighbours,
+then matches on that index, which each plan updates.  Gadgets a plan
 leaves get their ids at once but enter the diagram when the step ends, in
 id order, so ids, spider order and edges are as if placed right away.
 """
@@ -64,19 +78,26 @@ def pivot_yz_neighbor(d: ZxDiagram, gadget_root: int, frontier_spider: int) -> N
 
     The frontier spider is first buffered off the boundary (two phase-free
     spiders on its output wire) so the pivot only touches interior spiders.
-    The gadget's phase relocates onto an XY-plane spider.
+    The gadget's phase relocates onto an XY-plane spider.  Every
+    precondition is checked before the diagram changes, so on an error the
+    diagram is the caller's.
     """
     if not d.has_edge(gadget_root, frontier_spider):
         raise ValueError("root and frontier spider must be adjacent")
+    if frontier_spider not in d.outputs or frontier_spider in d.inputs:
+        raise ValueError(f"frontier spider {frontier_spider} is not an output, or is also an input")
+    if gadget_root in d.boundary():
+        raise ValueError(f"gadget root {gadget_root} is a boundary spider")
+    for v in (gadget_root, frontier_spider):
+        if not d.phase(v).is_pauli():
+            raise ExtractionError(f"yz pivot failed: spider {v} has non-Pauli phase {d.phase(v)}", d)
     q = d.outputs.index(frontier_spider)
     w1 = d.add_spider(Phase(0))
     w2 = d.add_spider(Phase(0))
     d.toggle_edge(frontier_spider, w1)
     d.toggle_edge(w1, w2)
     d.outputs[q] = w2
-    ok = pivot_simp(d, gadget_root, frontier_spider)
-    if not ok:
-        raise ExtractionError("yz pivot failed: non-Pauli phases", d)
+    pivot_simp(d, gadget_root, frontier_spider)  # cannot refuse: both phases are Pauli
     d.normalize_gadget_roots()
 
 
@@ -131,13 +152,15 @@ class _Extractor:
         return changed
 
     def pull_czs(self) -> bool:
+        d = self.d
         changed = False
-        fr = {v: q for q, v in enumerate(self.d.outputs)}
-        for q, v in enumerate(self.d.outputs):
-            for w in sorted(self.d.neighbors(v)):
-                if w in fr and fr[w] > q:
+        fr = {v: q for q, v in enumerate(d.outputs)}
+        frontier = set(fr)
+        for q, v in enumerate(d.outputs):
+            for w in sorted(d.adjacent(v) & frontier):
+                if fr[w] > q:
                     self.rev.append(Gate("CZ", (q, fr[w])))
-                    self.d.toggle_edge(v, w)
+                    d.toggle_edge(v, w)
                     changed = True
         return changed
 
@@ -145,8 +168,7 @@ class _Extractor:
         if self.mode.kind == "default":
             return False
         frontier = set(self.d.outputs)
-        scan = self.d.find_gadgets()
-        self.gadgets = {g.top: g for g in scan if g.legs <= frontier and len(g.legs) >= 2}
+        self.gadgets = {g.top: g for g in self.d.frontier_gadgets(frontier)}
         limit = 10 * (self.d.num_spiders() + 10)
         for plans in range(limit):
             plan = match_cnp(
@@ -219,20 +241,21 @@ class _Extractor:
             raise ExtractionError("gflow extension failed verification", self.d)
 
     def advance_hadamard(self) -> bool:
+        d = self.d
+        frontier = set(d.outputs)
         changed = False
         for q in range(self.n):
-            v = self.d.outputs[q]
-            if v in self.ins:
+            v = d.outputs[q]
+            if v in self.ins or d.degree(v) != 1:
                 continue
-            if self.d.degree(v) != 1:
-                continue
-            (w,) = self.d.neighbors(v)
-            if w in self.d.outputs:
+            (w,) = d.adjacent(v)
+            if w in frontier:
                 continue
             self.rev.append(Gate("H", (q,)))
-            self.d.toggle_edge(v, w)
-            self.d.remove_spider(v)
-            self.d.outputs[q] = w
+            d.toggle_edge(v, w)
+            d.remove_spider(v)
+            d.outputs[q] = w
+            frontier.add(w)
             changed = True
         return changed
 
@@ -245,13 +268,13 @@ class _Extractor:
         spiders' non-frontier wires.
         """
         d = self.d
-        frontier = set(d.outputs)
-        rows = [q for q in range(self.n) if d.outputs[q] not in self.ins or d.degree(d.outputs[q]) > 0]
-        cols = sorted({w for q in rows for w in d.neighbors(d.outputs[q]) if w not in frontier})
+        rows = [q for q, v in enumerate(d.outputs) if v not in self.ins or d.degree(v) > 0]
+        adj = [d.adjacent(d.outputs[q]) for q in rows]
+        cols = sorted(set().union(*adj).difference(d.outputs))
         if not cols:
             return False
-        cidx = {c: j for j, c in enumerate(cols)}
-        m = [sum(1 << cidx[w] for w in d.neighbors(d.outputs[q]) if w in cidx) for q in rows]
+        bit = {c: 1 << j for j, c in enumerate(cols)}
+        m = [sum(bit[w] for w in a if w in bit) for a in adj]
         rref, ops, _ = row_reduce(m, len(cols))
         self.rev.extend(Gate("CX", (rows[dst], rows[src])) for src, dst in ops)
         for q, old, new in zip(rows, m, rref):
@@ -264,12 +287,13 @@ class _Extractor:
 
     def yz_pivot_step(self) -> bool:
         d = self.d
+        boundary = d.boundary()
         for q in range(self.n):
             v = d.outputs[q]
             if v in self.ins:
                 continue
-            for w in sorted(d.neighbors(v)):
-                if any(d.gadget_root(t) == w for t in d.neighbors(w)):
+            for w in sorted(d.adjacent(v)):
+                if any(d.gadget_root(t, boundary) == w for t in d.adjacent(w)):
                     pivot_yz_neighbor(d, w, v)
                     self.yz_pivots += 1
                     return True
@@ -301,18 +325,27 @@ class _Extractor:
     def run(self) -> Circuit:
         self.pull_output_hadamards()
         limit = 20 * (self.d.num_spiders() + 10)
+        every_pull = True  # False right after row operations: only the NCP pull can apply
+        reduced = False  # the frontier rows are as the last elimination wrote them
         for _ in range(limit):
-            changed = self.pull_czs()
-            changed |= self.pull_cnp()
-            changed |= self.pull_phases()
-            changed |= self.advance_hadamard()
-            if changed:
+            if every_pull:
+                changed = self.pull_czs()
+                changed |= self.pull_cnp()
+                changed |= self.pull_phases()
+            else:
+                changed = self.pull_cnp()
+            if self.advance_hadamard():  # a new frontier spider: every step again
+                every_pull, reduced = True, False
                 continue
+            # the pulls enable nothing but an advance, so this round is settled
+            reduced = reduced and not changed
             if self.done():
                 break
-            if self.eliminate():
+            if not reduced and self.eliminate():
+                every_pull, reduced = False, True
                 continue
             if self.yz_pivot_step():
+                every_pull, reduced = True, False
                 continue
             raise ExtractionError("extraction stuck: no applicable step", self.d)
         else:

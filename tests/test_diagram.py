@@ -137,6 +137,35 @@ def test_find_gadgets_excludes_malformed():
         assert [d.gadget_root(v) for v in d.spiders()] == [None] * 3, what
 
 
+def test_frontier_gadgets_on_random_diagrams():
+    # random gadgets on outputs and interior spiders, some with one leg, a
+    # phased root, a second top or a wire between two legs: the frontier's
+    # neighbourhood finds exactly the filtered whole-diagram scan, in order
+    found = skipped = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        d = ZxDiagram()
+        outs = [d.add_spider() for _ in range(rng.randint(1, 6))]
+        inner = [d.add_spider(Phase(rng.randint(0, 3), 4)) for _ in range(rng.randint(0, 3))]
+        d.outputs = list(outs)
+        for _ in range(rng.randint(0, 6)):
+            legs = rng.sample(outs + inner, rng.randint(1, min(4, len(outs + inner))))
+            g = d.add_gadget(legs, Phase(rng.randint(1, 7), 4))
+            if rng.random() < 0.15:
+                d.set_phase(g.root, Phase(1))
+            if rng.random() < 0.15:
+                d.toggle_edge(g.root, d.add_spider(Phase(1, 4)))
+        for a, b in combinations(outs + inner, 2):
+            if rng.random() < 0.2:
+                d.toggle_edge(a, b)
+        frontier = set(outs)
+        local = d.frontier_gadgets(frontier)
+        assert local == [g for g in d.find_gadgets() if g.legs <= frontier and len(g.legs) >= 2], seed
+        found += len(local)
+        skipped += len(d.find_gadgets()) - len(local)
+    assert found > 50 and skipped > 50, (found, skipped)
+
+
 def test_controlled_phase_structure_spider_counts():
     # n anchors plus two spiders per leg subset of size >= 2
     for n, spiders, gadgets in ((2, 4, 1), (3, 11, 4), (4, 26, 11)):

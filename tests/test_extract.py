@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -267,9 +268,10 @@ def test_frontier_index_tracks_diagram(monkeypatch):
     assert plans > 0
 
 
-def test_extraction_scans_gadgets_once_per_cnp_step(monkeypatch):
-    # one find_gadgets scan for the gflow precheck and one per pull_cnp call,
-    # however many plans that call executes
+def test_extraction_scans_whole_diagram_for_gadgets_once(monkeypatch):
+    # the gflow precheck's find_gadgets is the one whole-diagram scan: the
+    # controlled-phase step reads only the frontier's neighbourhood, however
+    # many times it runs and however many plans it executes
     scans = steps = plans = 0
     find_gadgets = ZxDiagram.find_gadgets
     pull_cnp = _Extractor.pull_cnp
@@ -293,16 +295,107 @@ def test_extraction_scans_gadgets_once_per_cnp_step(monkeypatch):
     monkeypatch.setattr(ZxDiagram, "find_gadgets", counted_scan)
     monkeypatch.setattr(_Extractor, "pull_cnp", counted_step)
     monkeypatch.setattr(_Extractor, "execute_plan", counted_plan)
-    total_plans = 0
+    total_steps = total_plans = 0
     for d in _cnp_corpus():
         for kind in ("default", "no-insert", "with-insert"):
             scans = steps = plans = 0
             extract_circuit(d, ExtractionMode(kind))
-            limit = 1 if kind == "default" else steps + 1
-            assert scans <= limit, (kind, scans, steps, plans)
+            assert scans <= 1, (kind, scans, steps, plans)
+            if kind != "default":
+                assert steps > 1
+            total_steps += steps
             total_plans += plans
-    # a rescan per plan would break the bound above on these runs
-    assert total_plans > 0
+    # a rescan per step or per plan would break the bound above on these runs
+    assert total_plans > 0 and total_steps > 0
+
+
+def test_frontier_gadgets_equal_filtered_scan(monkeypatch):
+    # at every pull_cnp call, not only after plans, the gadgets found from the
+    # frontier's neighbourhood are the whole-diagram scan's frontier gadgets
+    pull_cnp = _Extractor.pull_cnp
+    calls = found = 0
+
+    def checked(self):
+        nonlocal calls, found
+        frontier = set(self.d.outputs)
+        local = self.d.frontier_gadgets(frontier)
+        assert local == [g for g in self.d.find_gadgets() if g.legs <= frontier and len(g.legs) >= 2]
+        calls += 1
+        found += len(local)
+        return pull_cnp(self)
+
+    diagrams = _cnp_corpus() + [_simplified(qft_circuit(16))]
+    diagrams += [_simplified(rand_corpus_circuit(seed)) for seed in range(60)]
+    modes = [ExtractionMode(kind) for kind in ("no-insert", "with-insert")]
+    expected = [extract_circuit(d, m) for d in diagrams for m in modes]
+    monkeypatch.setattr(_Extractor, "pull_cnp", checked)
+    assert [extract_circuit(d, m) for d in diagrams for m in modes] == expected
+    assert calls > len(expected) and found > 0
+
+
+def test_extraction_runs_only_enabled_steps(monkeypatch):
+    # the pulls enable only an advance, so the CZ pull runs once at the start
+    # and once after each advance or YZ pivot; elimination runs only after a
+    # change since the last one with row operations, whose rows would reduce
+    # with no operation, and a YZ pivot only on rows that do
+    counts, last = Counter(), None
+    pull_czs, advance_hadamard = _Extractor.pull_czs, _Extractor.advance_hadamard
+    eliminate, yz_pivot_step = _Extractor.eliminate, _Extractor.yz_pivot_step
+
+    def counted_pull(self):
+        counts["pull_czs"] += 1
+        return pull_czs(self)
+
+    def counted_advance(self):
+        advanced = advance_hadamard(self)
+        counts["enabling"] += advanced
+        return advanced
+
+    def checked_eliminate(self):
+        nonlocal last
+        assert self.d.to_json() != last, "elimination of reduced rows"
+        counts["eliminate"] += 1
+        ops = eliminate(self)
+        if ops:
+            last = self.d.to_json()
+        return ops
+
+    def checked_pivot(self):
+        d = self.d
+        rows = [v for v in d.outputs if v not in self.ins or d.degree(v) > 0]
+        cols = sorted({w for v in rows for w in d.neighbors(v)} - set(d.outputs))
+        m = [sum(1 << j for j, c in enumerate(cols) if d.has_edge(v, c)) for v in rows]
+        assert row_reduce(m, len(cols))[1] == [], "YZ pivot before elimination"
+        pivoted = yz_pivot_step(self)
+        counts["enabling"] += pivoted
+        return pivoted
+
+    monkeypatch.setattr(_Extractor, "pull_czs", counted_pull)
+    monkeypatch.setattr(_Extractor, "advance_hadamard", counted_advance)
+    monkeypatch.setattr(_Extractor, "eliminate", checked_eliminate)
+    monkeypatch.setattr(_Extractor, "yz_pivot_step", checked_pivot)
+    runs = [(d, kind) for d in _cnp_corpus() for kind in ("default", "no-insert", "with-insert")]
+    runs += [(_simplified(rand_corpus_circuit(seed)), "no-insert") for seed in range(60)]
+    for d, kind in runs + [(_simplified(qft_circuit(16)), "default")]:
+        counts, last = Counter(), None
+        extract_circuit(d, ExtractionMode(kind))
+        assert counts["pull_czs"] <= 1 + counts["enabling"], (kind, counts)
+    # qft16: 408 CZ pulls and 120 eliminations where running every step
+    # every round made 620 and 226
+    assert counts["eliminate"] <= 120 and counts["pull_czs"] <= 408, counts
+
+
+def test_advance_moves_one_output_onto_a_shared_neighbour():
+    # two degree-1 outputs on one spider w: the first advances onto w, and
+    # the second must then see w as a frontier spider
+    d = ZxDiagram(2, 2)
+    i1, i2, w, o1, o2 = (d.add_spider() for _ in range(5))
+    for u, v in ((i1, w), (i2, w), (w, o1), (w, o2)):
+        d.toggle_edge(u, v)
+    d.inputs, d.outputs = [i1, i2], [o1, o2]
+    ex = _Extractor(d, ExtractionMode())
+    assert ex.advance_hadamard()
+    assert ex.d.outputs == [w, o2] and ex.rev == [Gate("H", (0,))]
 
 
 def test_eliminate_writes_back_reduced_rows():
@@ -390,6 +483,49 @@ def test_pivot_yz_neighbor():
     assert equal_up_to_scalar(diagram_tensor(d), before, 1e-9)
     with pytest.raises(ValueError):
         pivot_yz_neighbor(d, top, o)  # not adjacent
+
+
+def _yz_pivot_case():
+    """An output o with a phase-free gadget root on it; the root also sees interior x."""
+    d = ZxDiagram(1, 1)
+    i, o, x = d.add_spider(), d.add_spider(), d.add_spider()
+    d.toggle_edge(i, x)
+    d.toggle_edge(x, o)
+    d.inputs, d.outputs = [i], [o]
+    root, top = d.add_spider(), d.add_spider(Phase(1, 4))
+    for a in (top, o, x):
+        d.toggle_edge(root, a)
+    return d, root, o, x
+
+
+def test_pivot_yz_neighbor_rejects_boundary_misuse_unchanged():
+    # a frontier spider that is no output, or also an input, and a root on
+    # the boundary are refused before the buffer spiders go in
+    d, root, o, x = _yz_pivot_case()
+    before = d.to_json()
+    with pytest.raises(ValueError, match=f"frontier spider {x} is not an output"):
+        pivot_yz_neighbor(d, root, x)
+    assert d.to_json() == before
+    d.inputs.append(o)
+    with pytest.raises(ValueError, match=f"frontier spider {o} is not an output, or is also an input"):
+        pivot_yz_neighbor(d, root, o)
+    d.inputs.pop()
+    d.outputs.append(root)
+    with pytest.raises(ValueError, match=f"gadget root {root} is a boundary spider"):
+        pivot_yz_neighbor(d, root, o)
+    d.outputs.pop()
+    assert d.to_json() == before
+
+
+def test_pivot_yz_neighbor_rejects_non_pauli_unchanged():
+    d, root, o, x = _yz_pivot_case()
+    d.set_phase(o, Phase(1, 4))
+    before = d.to_json()
+    with pytest.raises(ExtractionError, match=f"spider {o} has non-Pauli phase") as info:
+        pivot_yz_neighbor(d, root, o)
+    # neither the diagram nor the one in the message has been rewritten
+    assert d.to_json() == before
+    assert str(info.value).split("\ndiagram: ", 1)[1] == before
 
 
 def test_rich_gate_set_roundtrip():
