@@ -27,10 +27,6 @@ PHASE_GATE_ANGLES = {
     "Tdg": Phase(-1, 4),
 }
 
-#: Passes of ``cancel_gates`` before it stops short of a fixpoint.
-CANCEL_PASSES = 10
-
-
 @dataclass(frozen=True)
 class Gate:
     """A single gate: a kind, an ordered qubit tuple and an optional angle.
@@ -139,46 +135,42 @@ def cancel_gates(c: Circuit) -> Circuit:
 
     Removes adjacent self-inverse pairs, merges adjacent phase gates (and
     NCP gates on identical qubit sets), commuting candidates past gates on
-    disjoint qubits.  Iterates to a fixpoint, capped at ``CANCEL_PASSES``.
+    disjoint qubits.  One pass reaches the fixpoint: a gate is removed or
+    replaced only on top of its qubits' stacks, so nothing under a kept gate
+    changes later, and a replacement merges only where the gate it replaces
+    could (phase gates become ``Rz``, NCP/NCZ ``NCP``, Rx/Ry keep their
+    kind).
     """
-    gates = list(c.gates)
-    for _ in range(CANCEL_PASSES):
-        out: list[Optional[Gate]] = []  # None marks a gate removed by a merge
-        # indices into out of each qubit's gates, latest on top
-        stacks: list[list[int]] = [[] for _ in range(c.num_qubits)]
-        changed = False
-        for g in gates:
-            # out[i] is the nearest earlier gate sharing a qubit, on top of
-            # `shared` of g's stacks; gates on disjoint qubits commute past
-            i = shared = -1
-            for q in g.qubits:
-                s = stacks[q]
-                if s and s[-1] > i:
-                    i, shared = s[-1], 1
-                elif s and s[-1] == i:
-                    shared += 1
-            # a merge needs equal qubit sets, so out[i] must top each of g's stacks
-            if shared == len(g.qubits) == len(out[i].qubits):
-                repl = _merge(out[i], g)
-                if repl is not None:
-                    changed = True
-                    if repl:
-                        out[i] = repl[0]
-                    else:
-                        out[i] = None
-                        for q in g.qubits:
-                            stacks[q].pop()
-                    continue
-            if g.kind in ("Rz", "Rx", "Ry", "NCP") and g.angle.is_zero():
-                changed = True
+    out: list[Optional[Gate]] = []  # None marks a gate removed by a merge
+    # indices into out of each qubit's gates, latest on top
+    stacks: list[list[int]] = [[] for _ in range(c.num_qubits)]
+    for g in c.gates:
+        # out[i] is the nearest earlier gate sharing a qubit, on top of
+        # `shared` of g's stacks; gates on disjoint qubits commute past
+        i = shared = -1
+        for q in g.qubits:
+            s = stacks[q]
+            if s and s[-1] > i:
+                i, shared = s[-1], 1
+            elif s and s[-1] == i:
+                shared += 1
+        # a merge needs equal qubit sets, so out[i] must top each of g's stacks
+        if shared == len(g.qubits) == len(out[i].qubits):
+            repl = _merge(out[i], g)
+            if repl is not None:
+                if repl:
+                    out[i] = repl[0]
+                else:
+                    out[i] = None
+                    for q in g.qubits:
+                        stacks[q].pop()
                 continue
-            for q in g.qubits:
-                stacks[q].append(len(out))
-            out.append(g)
-        gates = [g for g in out if g is not None]
-        if not changed:
-            break
-    return c.with_gates(gates)
+        if g.kind in ("Rz", "Rx", "Ry", "NCP") and g.angle.is_zero():
+            continue
+        for q in g.qubits:
+            stacks[q].append(len(out))
+        out.append(g)
+    return c.with_gates(g for g in out if g is not None)
 
 
 def to_ncz_baseline(c: Circuit) -> Circuit:

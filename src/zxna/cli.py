@@ -170,7 +170,8 @@ def main(argv=None) -> int:
     # suite
     args.emit_qasm = None
     args.emit_schedule = None
-    pipelines = args.pipelines or list(PIPELINES)
+    # each pipeline once, in first-named order; the baseline runs even if not named
+    pipelines = list(dict.fromkeys([*(args.pipelines or PIPELINES), args.baseline]))
     files = sorted(Path(args.directory).glob("*.qasm"))
     if not files:
         return _error({"error": f"no .qasm files in directory {args.directory}"})

@@ -19,8 +19,11 @@ Each step runs only when an earlier change can have enabled it:
 So the pulls can enable only a Hadamard advance: a round without one is
 settled and goes straight to elimination.  After an elimination with row
 operations only the NCP pull and the advance can apply, and elimination
-itself is skipped until a step changes the diagram, since the reduced rows
-reduce with no operation.  An advance or a YZ pivot re-enables every step.
+waits for an advance, as the rows stay reduced: the NCP pull deletes only
+gadget-root columns, which have two or more legs and so are never pivot
+columns, and appends root columns, last by id, only on legs with a
+non-frontier neighbour, whose rows keep their pivots.  An advance or a YZ
+pivot re-enables every step.
 
 The NCP step finds the frontier's gadgets from the frontier's neighbours,
 then matches on that index, which each plan updates.  Gadgets a plan
@@ -141,19 +144,15 @@ class _Extractor:
                 self.rev.append(Gate("H", (q,)))
                 self.d.output_hadamard[q] = False
 
-    def pull_phases(self) -> bool:
-        changed = False
+    def pull_phases(self) -> None:
         for q, v in enumerate(self.d.outputs):
             p = self.d.phase(v)
             if not p.is_zero():
                 self.rev.append(Gate("Rz", (q,), p))
                 self.d.set_phase(v, Phase(0))
-                changed = True
-        return changed
 
-    def pull_czs(self) -> bool:
+    def pull_czs(self) -> None:
         d = self.d
-        changed = False
         fr = {v: q for q, v in enumerate(d.outputs)}
         frontier = set(fr)
         for q, v in enumerate(d.outputs):
@@ -161,23 +160,21 @@ class _Extractor:
                 if fr[w] > q:
                     self.rev.append(Gate("CZ", (q, fr[w])))
                     d.toggle_edge(v, w)
-                    changed = True
-        return changed
 
-    def pull_cnp(self) -> bool:
+    def pull_cnp(self) -> None:
         if self.mode.kind == "default":
-            return False
+            return
         frontier = set(self.d.outputs)
         self.gadgets = {g.top: g for g in self.d.frontier_gadgets(frontier)}
         limit = 10 * (self.d.num_spiders() + 10)
-        for plans in range(limit):
+        for _ in range(limit):
             plan = match_cnp(
                 self.gadgets.values(), frontier, self.mode.kind, self.mode.max_ctrl,
                 no_extend=self.no_extend,
             )
             if plan is None:
                 self.place_pending()
-                return plans > 0
+                return
             self.execute_plan(plan)
         self.place_pending()
         raise ExtractionError("controlled-phase matching did not settle", self.d)
@@ -325,27 +322,25 @@ class _Extractor:
     def run(self) -> Circuit:
         self.pull_output_hadamards()
         limit = 20 * (self.d.num_spiders() + 10)
-        every_pull = True  # False right after row operations: only the NCP pull can apply
-        reduced = False  # the frontier rows are as the last elimination wrote them
+        reduced = False  # right after row operations: only the NCP pull can apply, no elimination
         for _ in range(limit):
-            if every_pull:
-                changed = self.pull_czs()
-                changed |= self.pull_cnp()
-                changed |= self.pull_phases()
+            if reduced:
+                self.pull_cnp()
             else:
-                changed = self.pull_cnp()
+                self.pull_czs()
+                self.pull_cnp()
+                self.pull_phases()
             if self.advance_hadamard():  # a new frontier spider: every step again
-                every_pull, reduced = True, False
+                reduced = False
                 continue
             # the pulls enable nothing but an advance, so this round is settled
-            reduced = reduced and not changed
             if self.done():
                 break
             if not reduced and self.eliminate():
-                every_pull, reduced = False, True
+                reduced = True
                 continue
             if self.yz_pivot_step():
-                every_pull, reduced = True, False
+                reduced = False
                 continue
             raise ExtractionError("extraction stuck: no applicable step", self.d)
         else:

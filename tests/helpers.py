@@ -9,7 +9,7 @@ import random
 import numpy as np
 
 from zxna import Circuit, Gate, Phase
-from zxna.circuit import CANCEL_PASSES, _merge
+from zxna.circuit import _merge
 from zxna.backend import GR, Ncp, RzLayer
 from zxna.gflow import LabeledOpenGraph, odd_neighborhood
 
@@ -245,9 +245,11 @@ def all_small_open_graphs(max_v: int = 3):
 
 
 def cancel_gates_reference(c: Circuit) -> Circuit:
-    """``cancel_gates`` that scans back from the end of the output for each gate."""
+    """``cancel_gates`` that scans back from the end of the output for each
+    gate, repeating passes until one changes nothing."""
     gates = list(c.gates)
-    for _ in range(CANCEL_PASSES):
+    changed = True
+    while changed:
         out: list[Gate] = []
         changed = False
         for g in gates:
@@ -268,6 +270,4 @@ def cancel_gates_reference(c: Circuit) -> Circuit:
                     continue
                 out.append(g)
         gates = out
-        if not changed:
-            break
     return c.with_gates(gates)

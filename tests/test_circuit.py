@@ -2,8 +2,20 @@ import random
 
 import pytest
 
-from helpers import cancel_gates_reference, rand_rich_circuit
-from zxna import Circuit, Gate, Phase, cancel_gates, circuit_unitary, equal_up_to_scalar, to_ncz_baseline
+from helpers import cancel_gates_reference, rand_corpus_circuit, rand_rich_circuit
+from zxna import (
+    Circuit,
+    ExtractionMode,
+    Gate,
+    Phase,
+    cancel_gates,
+    circuit_unitary,
+    equal_up_to_scalar,
+    extract_circuit,
+    full_simplify,
+    to_ncz_baseline,
+)
+from zxna.ingest import circuit_to_diagram, to_graph_like
 
 
 def test_gate_validation():
@@ -100,10 +112,21 @@ def _disjoint_runs_circuit(seed: int) -> Circuit:
     return Circuit(n, tuple(gates))
 
 
+def _pre_cancel_circuits(c: Circuit) -> list[Circuit]:
+    """What each pipeline hands to ``cancel_gates`` for ``c``."""
+    d = circuit_to_diagram(c)
+    to_graph_like(d)
+    full_simplify(d)
+    modes = [ExtractionMode(kind) for kind in ("default", "no-insert", "with-insert")]
+    return [to_ncz_baseline(c)] + [extract_circuit(d, m) for m in modes]
+
+
 def test_cancel_matches_scan_back_reference():
+    # one pass of cancel_gates against passes repeated to a fixpoint
     circuits = [rand_rich_circuit(seed) for seed in range(300)]
     circuits += [rand_rich_circuit(seed, max_qubits=3, max_gates=80) for seed in range(100)]
     circuits += [_disjoint_runs_circuit(seed) for seed in range(100)]
+    circuits += [out for seed in range(40) for out in _pre_cancel_circuits(rand_corpus_circuit(seed))]
     removed = 0
     for c in circuits:
         out = cancel_gates(c)

@@ -198,6 +198,35 @@ def test_suite_aggregate(tmp_path, capsys):
     assert all("%" not in str(r.get("verified", "")) for r in agg)
 
 
+def test_suite_runs_missing_baseline(tmp_path, capsys):
+    d = tmp_path / "bench"
+    d.mkdir()
+    (d / "a.qasm").write_text(SIMPLE)
+    rc = main(["suite", str(d), "--pipeline", "zx-with-insert", "--baseline", "no-decomp", "--format", "json"])
+    assert rc == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [r["pipeline"] for r in rows if "counts" in r] == ["zx-with-insert", "no-decomp"]
+    agg = [r for r in rows if "counts" not in r]
+    assert [(r["file"], r["pipeline"]) for r in agg] == [
+        ("<mean reduction vs no-decomp>", "zx-with-insert"),
+        ("<mean reduction vs no-decomp>", "no-decomp"),
+    ]
+
+
+def test_suite_runs_repeated_pipeline_once(tmp_path, capsys):
+    d = tmp_path / "bench"
+    d.mkdir()
+    (d / "a.qasm").write_text(SIMPLE)
+    rc = main([
+        "suite", str(d), "--pipeline", "no-decomp", "--pipeline", "zx-default", "--pipeline", "no-decomp",
+        "--format", "json",
+    ])
+    assert rc == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [r["pipeline"] for r in rows if "counts" in r] == ["no-decomp", "zx-default"]
+    assert [r["pipeline"] for r in rows if "counts" not in r] == ["no-decomp", "zx-default"]
+
+
 def test_suite_writes_out_file(tmp_path, capsys):
     d = tmp_path / "bench"
     d.mkdir()

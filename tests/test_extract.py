@@ -336,31 +336,44 @@ def test_frontier_gadgets_equal_filtered_scan(monkeypatch):
 def test_extraction_runs_only_enabled_steps(monkeypatch):
     # the pulls enable only an advance, so the CZ pull runs once at the start
     # and once after each advance or YZ pivot; elimination runs only after a
-    # change since the last one with row operations, whose rows would reduce
-    # with no operation, and a YZ pivot only on rows that do
-    counts, last = Counter(), None
-    pull_czs, advance_hadamard = _Extractor.pull_czs, _Extractor.advance_hadamard
-    eliminate, yz_pivot_step = _Extractor.eliminate, _Extractor.yz_pivot_step
+    # change since the last one with row operations, and an NCP pull after
+    # row operations leaves the rows reduced, so a YZ pivot follows it
+    # directly and must find rows that reduce with no operation
+    counts, last, after_ops, pulled, pulled_pivots = Counter(), None, False, False, 0
+    pull_czs, pull_cnp = _Extractor.pull_czs, _Extractor.pull_cnp
+    advance_hadamard, eliminate, yz_pivot_step = (
+        _Extractor.advance_hadamard, _Extractor.eliminate, _Extractor.yz_pivot_step
+    )
 
     def counted_pull(self):
         counts["pull_czs"] += 1
-        return pull_czs(self)
+        pull_czs(self)
+
+    def counted_cnp(self):
+        nonlocal pulled
+        emitted = len(self.rev)
+        pull_cnp(self)
+        pulled = pulled or (after_ops and len(self.rev) > emitted)
 
     def counted_advance(self):
+        nonlocal after_ops, pulled
         advanced = advance_hadamard(self)
         counts["enabling"] += advanced
+        if advanced:
+            after_ops = pulled = False
         return advanced
 
     def checked_eliminate(self):
-        nonlocal last
+        nonlocal last, after_ops
         assert self.d.to_json() != last, "elimination of reduced rows"
         counts["eliminate"] += 1
         ops = eliminate(self)
         if ops:
-            last = self.d.to_json()
+            last, after_ops = self.d.to_json(), True
         return ops
 
     def checked_pivot(self):
+        nonlocal after_ops, pulled, pulled_pivots
         d = self.d
         rows = [v for v in d.outputs if v not in self.ins or d.degree(v) > 0]
         cols = sorted({w for v in rows for w in d.neighbors(v)} - set(d.outputs))
@@ -368,21 +381,27 @@ def test_extraction_runs_only_enabled_steps(monkeypatch):
         assert row_reduce(m, len(cols))[1] == [], "YZ pivot before elimination"
         pivoted = yz_pivot_step(self)
         counts["enabling"] += pivoted
+        pulled_pivots += pulled
+        after_ops = pulled = False
         return pivoted
 
     monkeypatch.setattr(_Extractor, "pull_czs", counted_pull)
+    monkeypatch.setattr(_Extractor, "pull_cnp", counted_cnp)
     monkeypatch.setattr(_Extractor, "advance_hadamard", counted_advance)
     monkeypatch.setattr(_Extractor, "eliminate", checked_eliminate)
     monkeypatch.setattr(_Extractor, "yz_pivot_step", checked_pivot)
-    runs = [(d, kind) for d in _cnp_corpus() for kind in ("default", "no-insert", "with-insert")]
-    runs += [(_simplified(rand_corpus_circuit(seed)), "no-insert") for seed in range(60)]
-    for d, kind in runs + [(_simplified(qft_circuit(16)), "default")]:
-        counts, last = Counter(), None
-        extract_circuit(d, ExtractionMode(kind))
-        assert counts["pull_czs"] <= 1 + counts["enabling"], (kind, counts)
+    runs = [(d, ExtractionMode(kind)) for d in _cnp_corpus() for kind in ("default", "no-insert", "with-insert")]
+    modes = [ExtractionMode(kind, cap) for kind in ("no-insert", "with-insert") for cap in (None, 2, 3)]
+    runs += [(d, m) for d in [_simplified(rand_corpus_circuit(seed)) for seed in range(60)] for m in modes]
+    for d, mode in runs + [(_simplified(qft_circuit(16)), ExtractionMode())]:
+        counts, last, after_ops, pulled = Counter(), None, False, False
+        extract_circuit(d, mode)
+        assert counts["pull_czs"] <= 1 + counts["enabling"], (mode, counts)
     # qft16: 408 CZ pulls and 120 eliminations where running every step
     # every round made 620 and 226
     assert counts["eliminate"] <= 120 and counts["pull_czs"] <= 408, counts
+    # YZ pivots straight after an NCP plan on reduced rows
+    assert pulled_pivots > 0, pulled_pivots
 
 
 def test_advance_moves_one_output_onto_a_shared_neighbour():
