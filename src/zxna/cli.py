@@ -211,7 +211,10 @@ def main(argv=None) -> int:
     _emit(rows, args.format, stream)
     text = stream.getvalue()
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as e:
+            return _error({"error": str(e)})
     else:
         sys.stdout.write(text)
     return 1 if failed else 0

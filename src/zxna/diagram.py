@@ -23,8 +23,6 @@ from .phase import Phase
 
 __all__ = ["ZxDiagram", "GadgetView"]
 
-_PI = Phase(1)
-
 
 @dataclass(frozen=True)
 class GadgetView:
@@ -235,24 +233,18 @@ class ZxDiagram:
         out.sort(key=attrgetter("top"))
         return out
 
-    def hanging(self) -> Iterator[tuple[int, int]]:
-        """(top, root) of every interior degree-1 spider on an interior one, whatever its phase.
+    def hanging(self, near: AbstractSet[int]) -> Iterator[tuple[int, int]]:
+        """(top, root) of each interior degree-1 spider in or next to ``near`` on an interior one.
 
-        The boundary is read once, when the sweep starts.  Spiders are tested
-        as they are reached, so the caller may rewrite the diagram between
-        two steps, but not its boundary.
+        Tops come in ascending id, whatever the phases.  A rewrite that changed
+        only ``near`` finds here every pair it can have put out of gadget form.
+        Each candidate is tested when reached, so the caller may rewrite the
+        diagram between two steps, but not its boundary.
         """
-        boundary = self.boundary()
-        for top in list(self._phases):
-            if top in self._phases and (root := self._hung_on(top, boundary)) is not None:
+        adj, boundary = self._adj, self.boundary()
+        for top in sorted({*near, *(w for v in near for w in adj[v])}):
+            if top in adj and (root := self._hung_on(top, boundary)) is not None:
                 yield top, root
-
-    def normalize_gadget_roots(self) -> None:
-        """Flip roots that picked up a pi phase: negate the top, zero the root."""
-        for top, root in self.hanging():
-            if self._phases[root] == _PI:
-                self._phases[root] = Phase(0)
-                self._phases[top] = -self._phases[top]
 
     # -- validation & serialization ---------------------------------------
 

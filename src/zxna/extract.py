@@ -81,9 +81,11 @@ def pivot_yz_neighbor(d: ZxDiagram, gadget_root: int, frontier_spider: int) -> N
 
     The frontier spider is first buffered off the boundary (two phase-free
     spiders on its output wire) so the pivot only touches interior spiders.
-    The gadget's phase relocates onto an XY-plane spider.  Every
-    precondition is checked before the diagram changes, so on an error the
-    diagram is the caller's.
+    The gadget's phase relocates onto an XY-plane spider.  In extraction the
+    root (by gadget form) and the frontier spider (its phase pulled) are both
+    phase-free, so the pivot adds only Pauli phases, which ``pivot_simp``
+    settles next to them.  Every precondition is checked before the diagram
+    changes, so on an error the diagram is the caller's.
     """
     if not d.has_edge(gadget_root, frontier_spider):
         raise ValueError("root and frontier spider must be adjacent")
@@ -101,7 +103,6 @@ def pivot_yz_neighbor(d: ZxDiagram, gadget_root: int, frontier_spider: int) -> N
     d.toggle_edge(w1, w2)
     d.outputs[q] = w2
     pivot_simp(d, gadget_root, frontier_spider)  # cannot refuse: both phases are Pauli
-    d.normalize_gadget_roots()
 
 
 class _Extractor:

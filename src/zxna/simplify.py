@@ -6,13 +6,18 @@ fuses gadgets with identical legs, until every interior spider either has a
 non-Clifford phase or belongs to a gadget.  All rewrites preserve the
 diagram tensor up to a global scalar (checked by the oracle test suite) and
 preserve the existence of gflow.
+
+Every rewrite leaves gadget form: no interior degree-1 spider hangs on an
+interior spider with phase pi or +-pi/2.  ``lc_simp``, ``pivot_simp`` and
+``id_simp`` settle the spiders next to those they changed, ``gadget_fusion``
+the legs it frees, and ``full_simplify`` every spider once on entry.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import AbstractSet, Callable, Optional
 
 from .diagram import ZxDiagram
 from .phase import Phase
@@ -56,11 +61,12 @@ def lc_simp(d: ZxDiagram, v: int) -> bool:
     p = d.phase(v)
     if not p.is_proper_clifford():
         return False
-    nbrs = sorted(d.neighbors(v))
+    nbrs = d.neighbors(v)
     d.local_complement_graph(v)
     for w in nbrs:
         d.add_phase(w, -p)
     d.remove_spider(v)
+    _settle(d, nbrs)
     return True
 
 
@@ -86,6 +92,7 @@ def pivot_simp(d: ZxDiagram, u: int, v: int) -> bool:
         d.add_phase(w, pu + pv + Phase(1))
     d.remove_spider(u)
     d.remove_spider(v)
+    _settle(d, nu | nv)
     return True
 
 
@@ -106,29 +113,23 @@ def gadget_pivot(d: ZxDiagram, u: int, v: int) -> bool:
     d.set_phase(v, Phase(0))
     ok = pivot_simp(d, u, v)
     assert ok
-    d.normalize_gadget_roots()
     return True
 
 
-def _repair_gadgets(d: ZxDiagram) -> None:
-    """Restore gadget form after a rewrite touched gadget roots.
+def _settle(d: ZxDiagram, near: AbstractSet[int]) -> None:
+    """Restore gadget form among ``near`` and its neighbours, after a rewrite changed ``near``.
 
-    Neighboring rewrites only ever add Clifford phases to a root: a pi
-    phase folds into the top, a +-pi/2 phase makes the root an ordinary
-    removable Clifford spider, so it is eliminated by local complementation
-    (dissolving the gadget into its legs).  Runs to a fixpoint because a
-    dissolution can in turn phase another root.
+    Rewrites add only Clifford phases to a root: a pi folds into the top,
+    and a +-pi/2 root is a Clifford spider, which ``lc_simp`` removes,
+    dissolving its gadget and settling the legs before this sweep goes on.
     """
-    while True:
-        d.normalize_gadget_roots()
-        dissolved = False
-        for _, root in d.hanging():
-            if d.phase(root).is_proper_clifford():
-                ok = lc_simp(d, root)
-                assert ok
-                dissolved = True
-        if not dissolved:
-            return
+    for top, root in d.hanging(near):
+        p = d.phase(root)
+        if p == Phase(1):
+            d.set_phase(root, Phase(0))
+            d.set_phase(top, -d.phase(top))
+        elif p.is_proper_clifford():
+            lc_simp(d, root)
 
 
 def id_simp(d: ZxDiagram, v: int) -> bool:
@@ -144,14 +145,14 @@ def id_simp(d: ZxDiagram, v: int) -> bool:
         return False
     a, b = sorted(d.neighbors(v))
     d.remove_spider(v)
+    near = {a, *d.adjacent(b)}
     _fuse(d, a, b)
+    _settle(d, near)
     return True
 
 
 def _fuse(d: ZxDiagram, keep: int, merge: int) -> None:
     """Fuse spider ``merge`` into ``keep`` along an implicit plain wire."""
-    if keep == merge:
-        return
     if d.has_edge(keep, merge):
         # the extra Hadamard wire becomes a self-loop: adds pi
         d.toggle_edge(keep, merge)
@@ -173,7 +174,7 @@ def gadget_fusion(d: ZxDiagram) -> int:
     Returns the number of fusions performed.
     """
     count = 0
-    d.normalize_gadget_roots()
+    freed: set[int] = set()
     groups: dict[frozenset[int], list] = {}
     for g in d.find_gadgets():
         groups.setdefault(g.legs, []).append(g)
@@ -192,9 +193,11 @@ def gadget_fusion(d: ZxDiagram) -> int:
         if total.is_zero():
             d.remove_spider(keep.top)
             d.remove_spider(keep.root)
+            freed |= legs  # a leg may now hang off a spider
             count += 1
         else:
             d.set_phase(keep.top, total)
+    _settle(d, {v for v in freed if d.contains(v)})
     return count
 
 
@@ -207,6 +210,7 @@ def full_simplify(
     (used by the test suite to assert gflow preservation step by step).
     """
     trace = RewriteTrace()
+    _settle(d, set(d.spiders()))
 
     def did(rule: str, spiders: tuple[int, ...]) -> None:
         trace.record(rule, spiders, d)
@@ -226,7 +230,6 @@ def full_simplify(
             if not d.contains(v) or v in boundary:
                 continue
             if d.phase(v).is_zero() and d.degree(v) == 2 and id_simp(d, v):
-                _repair_gadgets(d)
                 did("id", (v,))
                 changed = True
                 # fusing may relabel a boundary spider
@@ -238,14 +241,14 @@ def full_simplify(
             if root is not None:
                 # a Clifford gadget dissolves whole: removing only the top
                 # would turn its YZ root into an XY spider and lose gflow
-                ok = lc_simp(d, v) and lc_simp(d, root)
+                d.add_phase(root, -d.phase(v))  # the top's phase joins its root
+                d.remove_spider(v)
+                ok = lc_simp(d, root)
                 assert ok
-                _repair_gadgets(d)
                 did("gadget_lc", (v, root))
                 changed = True
                 continue
             if lc_simp(d, v):
-                _repair_gadgets(d)
                 did("lc", (v,))
                 changed = True
         for u in sorted(d.spiders()):
@@ -261,7 +264,6 @@ def full_simplify(
                 if u_root not in (None, v) or d.gadget_root(v) not in (None, u):
                     continue
                 if pivot_simp(d, u, v):
-                    _repair_gadgets(d)
                     did("pivot", (u, v))
                     changed = True
                     break

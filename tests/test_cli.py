@@ -240,6 +240,19 @@ def test_suite_writes_out_file(tmp_path, capsys):
     assert header.endswith(",reduction")
 
 
+def test_suite_unwritable_out_file(tmp_path, capsys):
+    d = tmp_path / "bench"
+    d.mkdir()
+    (d / "a.qasm").write_text(SIMPLE)
+    out = tmp_path / "missing" / "report.csv"
+    rc = main(["suite", str(d), "--pipeline", "no-decomp", "--out", str(out)])
+    assert rc == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    rep = json.loads(lines[0])
+    assert list(rep) == ["error"] and str(out) in rep["error"]
+
+
 def test_suite_error_marks_failure(tmp_path, capsys):
     d = tmp_path / "bench"
     d.mkdir()

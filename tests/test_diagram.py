@@ -137,6 +137,16 @@ def test_find_gadgets_excludes_malformed():
         assert [d.gadget_root(v) for v in d.spiders()] == [None] * 3, what
 
 
+def test_hanging_reads_only_near_spiders():
+    d = ZxDiagram(0, 1)
+    out = d.add_spider()
+    d.outputs = [out]
+    a, b, c = (d.add_gadget((out,), Phase(1, 4)) for _ in range(3))
+    assert list(d.hanging({b.root})) == [(b.top, b.root)]
+    assert list(d.hanging({out})) == []  # its neighbours are roots, of degree 2
+    assert list(d.hanging({c.root, a.top})) == [(a.top, a.root), (c.top, c.root)]
+
+
 def test_frontier_gadgets_on_random_diagrams():
     # random gadgets on outputs and interior spiders, some with one leg, a
     # phased root, a second top or a wire between two legs: the frontier's

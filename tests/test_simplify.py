@@ -55,6 +55,35 @@ def test_pivot_simp_guard():
         pivot_simp(d, vs[1], vs[3])  # not adjacent
 
 
+def test_pivot_simp_settles_the_root_it_phases():
+    # the pivot adds pu + pv + pi = pi to the common neighbour, a gadget root
+    d = ZxDiagram(2, 2)
+    i0, i1, o0, o1, u, v = (d.add_spider() for _ in range(6))
+    d.inputs, d.outputs = [i0, i1], [o0, o1]
+    for a, b in ((i0, u), (u, o0), (i1, v), (v, o1), (u, v)):
+        d.toggle_edge(a, b)
+    g = d.add_gadget((u, v), Phase(1, 4))
+    before = diagram_tensor(d)
+    assert pivot_simp(d, u, v)
+    assert d.phase(g.root) == Phase(0) and d.phase(g.top) == Phase(-1, 4)
+    assert equal_up_to_scalar(diagram_tensor(d), before, 1e-9)
+
+
+def test_lc_simp_dissolves_the_root_it_makes_clifford():
+    # removing v puts -pi/2 on its neighbour, a gadget root, which dissolves
+    d = ZxDiagram(2, 2)
+    i0, i1, o0, o1, x = (d.add_spider() for _ in range(5))
+    v = d.add_spider(Phase(1, 2))
+    d.inputs, d.outputs = [i0, i1], [o0, o1]
+    for a, b in ((i0, v), (v, o0), (i1, x), (x, o1)):
+        d.toggle_edge(a, b)
+    g = d.add_gadget((v, x), Phase(1, 4))
+    before = diagram_tensor(d)
+    assert lc_simp(d, v)
+    assert not d.contains(g.root) and d.find_gadgets() == []
+    assert equal_up_to_scalar(diagram_tensor(d), before, 1e-9)
+
+
 def test_gadget_pivot_creates_gadget():
     d, vs = _line_diagram([Phase(1), Phase(1, 4), Phase(0)])
     # vs[2] non-Clifford with Pauli neighbor vs[1]
@@ -101,6 +130,33 @@ def test_gadget_fusion_merges_and_cancels():
     d.toggle_edge(root, b)
     gadget_fusion(d)
     assert d.find_gadgets() == []
+
+
+def test_gadget_fusion_settles_the_legs_it_frees():
+    # deleting the zero gadget leaves leg l hanging on x, which holds pi
+    d = ZxDiagram(1, 1)
+    i0, o0 = d.add_spider(), d.add_spider()
+    x, l = d.add_spider(Phase(1)), d.add_spider(Phase(1, 4))
+    d.inputs, d.outputs = [i0], [o0]
+    for a, b in ((i0, x), (x, o0), (x, l)):
+        d.toggle_edge(a, b)
+    d.add_gadget((l, o0), Phase(0))
+    before = diagram_tensor(d)
+    assert gadget_fusion(d) == 1
+    assert d.phase(x) == Phase(0) and d.phase(l) == Phase(-1, 4)
+    assert equal_up_to_scalar(diagram_tensor(d), before, 1e-9)
+
+
+def test_gadget_fusion_drops_gadgets_on_each_others_roots():
+    # each zero-phase gadget's root is a leg of the other, so the legs one
+    # deletion frees include a spider the other deletion removes
+    d = ZxDiagram(0, 1)
+    y = d.add_spider()
+    d.outputs = [y]
+    a = d.add_gadget((y,), Phase(0))
+    d.add_gadget((a.root, y), Phase(0))
+    assert gadget_fusion(d) == 2
+    assert list(d.spiders()) == [y]
 
 
 def test_full_simplify_terminates_and_preserves_tensor():
@@ -201,6 +257,74 @@ def test_full_simplify_scans_gadgets_per_rewrite_not_per_vertex(monkeypatch):
         scans = 0
         trace = full_simplify(d)
         assert scans <= 4 * (len(trace.steps) + 1), (scans, len(trace.steps))
+
+
+def test_full_simplify_settles_gadgets_next_to_each_rewrite(monkeypatch):
+    # a whole-diagram hanging-spider sweep per rewrite costs qft48 about
+    # 244,000 tests; settling only next to each rewrite about 10,000
+    tests = 0
+    hung_on = ZxDiagram._hung_on
+
+    def counted(self, top, boundary):
+        nonlocal tests
+        tests += 1
+        return hung_on(self, top, boundary)
+
+    monkeypatch.setattr(ZxDiagram, "_hung_on", counted)
+    d = circuit_to_diagram(qft_circuit(48))
+    to_graph_like(d)
+    full_simplify(d)
+    assert tests <= 20000, tests
+
+
+def test_full_simplify_keeps_gadget_form_after_every_rewrite():
+    # no interior degree-1 spider hangs on an interior spider with phase
+    # pi or +-pi/2, after each rewrite and not only at the end (the corpus
+    # holds qft16 and 60 random circuits)
+    def check(rule, d):
+        boundary = d.boundary()
+        for top in d.spiders():
+            if top in boundary or d.degree(top) != 1:
+                continue
+            (root,) = d.adjacent(top)
+            p = d.phase(root)
+            assert root in boundary or (p != Phase(1) and not p.is_proper_clifford()), (rule, top, root, p)
+
+    for d in _trace_corpus():
+        full_simplify(d, on_rewrite=check)
+
+
+def test_full_simplify_settles_a_hand_built_diagram_on_entry():
+    # the first rewrite, lc on x, is far from the gadget whose root holds pi
+    d = ZxDiagram(2, 2)
+    i0, i1, o0, o1 = (d.add_spider() for _ in range(4))
+    x, z = d.add_spider(Phase(1, 2)), d.add_spider(Phase(1, 4))
+    d.inputs, d.outputs = [i0, i1], [o0, o1]
+    for a, b in ((i0, x), (x, o0), (i1, z), (z, o1)):
+        d.toggle_edge(a, b)
+    g = d.add_gadget((z, o1), Phase(1, 4))
+    d.set_phase(g.root, Phase(1))
+    before = diagram_tensor(d)
+    rules = []
+    full_simplify(d, on_rewrite=lambda rule, dd: rules.append((rule, dd.phase(g.root))))
+    assert rules[0] == ("lc", Phase(0))
+    assert equal_up_to_scalar(diagram_tensor(d), before, 1e-9)
+
+
+def test_full_simplify_dissolves_a_clifford_gadget_whole():
+    # the root also carries a second degree-1 spider l: no settle may run
+    # between the top's removal and the root's, or it would take the root
+    d = ZxDiagram(1, 1)
+    i0, o0 = d.add_spider(), d.add_spider()
+    w, root = d.add_spider(Phase(1, 4)), d.add_spider()
+    top, l = d.add_spider(Phase(1, 2)), d.add_spider(Phase(1, 4))
+    d.inputs, d.outputs = [i0], [o0]
+    for a, b in ((i0, w), (w, o0), (root, w), (root, top), (root, l)):
+        d.toggle_edge(a, b)
+    before = diagram_tensor(d)
+    trace = full_simplify(d)
+    assert trace.steps[0] == {"rule": "gadget_lc", "spiders": [top, root], "spiders_after": 4}
+    assert equal_up_to_scalar(diagram_tensor(d), before, 1e-9)
 
 
 def test_full_simplify_tests_no_boundary_list_membership():
