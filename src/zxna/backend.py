@@ -1,9 +1,9 @@
 """Lowering extracted circuits to the neutral-atom native schedule.
 
-Circuits over {H, Rz, CZ, CX, NCP} are layerized into alternating
-single-qubit and multi-qubit layers.  Each single-qubit layer becomes two
-global XY half-pulses interleaved with local Rz layers (the transversal
-scheme); NCP gates execute sequentially between them.  Execution time is a
+Circuits are layerized into alternating single-qubit and multi-qubit
+layers, CX and Swap as H·CZ·H.  Each single-qubit layer becomes two global
+XY half-pulses interleaved with local Rz layers (the transversal scheme);
+NCP gates execute sequentially between them.  Execution time is a
 linear-in-angle model: local Rz and two-qubit controlled phases at 100ns
 full scale, larger controlled phases at 400ns, global pulses at 100us.
 """
@@ -18,7 +18,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .circuit import ANGLE_KINDS, Circuit, Gate
+from .circuit import ANGLE_KINDS, Circuit, Gate, lower_to_cz
 from .oracle import gate_matrix
 from .phase import Phase
 
@@ -145,7 +145,9 @@ def _chain_layers(c: Circuit) -> list:
 
     A chain lists the keys ``(kind, numerator, denominator)`` of the slot's
     consecutive single-qubit gates in execution order; a gate without an
-    angle has numerator 0 and denominator 1.
+    angle has numerator 0 and denominator 1.  CX and Swap are read as
+    H·CZ·H from :func:`~zxna.circuit.lower_to_cz`, so every other gate is
+    either single-qubit or a CZ/NCZ/NCP.
     """
     layers: list = [dict()]
     avail = [0] * c.num_qubits
@@ -155,36 +157,17 @@ def _chain_layers(c: Circuit) -> list:
             layers.append([] if len(layers) % 2 == 1 else dict())
         return layers[i]
 
-    def put_1q(q: int, key: tuple) -> None:
-        i = avail[q] if avail[q] % 2 == 0 else avail[q] + 1
-        layer_at(i).setdefault(q, []).append(key)
-        avail[q] = i
-
-    def put_mq(op: Ncp) -> None:
-        i = max(a if a % 2 == 1 else a + 1 for a in (avail[q] for q in op.qubits))
-        layer_at(i).append(op)
-        for q in op.qubits:
-            avail[q] = i + 1
-
-    h = ("H", 0, 1)
-    for g in c.gates:
-        if g.kind == "CX":
-            ctl, tgt = g.qubits
-            put_1q(tgt, h)
-            put_mq(Ncp((ctl, tgt), math.pi))
-            put_1q(tgt, h)
-        elif g.kind == "Swap":
-            for a, b in ((g.qubits), (g.qubits[::-1]), (g.qubits)):
-                put_1q(b, h)
-                put_mq(Ncp((a, b), math.pi))
-                put_1q(b, h)
-        elif g.kind in ("CZ", "NCZ", "NCP"):
-            put_mq(_to_ncp(g))
-        elif len(g.qubits) == 1:
-            a = g.angle
-            put_1q(g.qubits[0], (g.kind, 0, 1) if a is None else (g.kind, a.numerator, a.denominator))
+    for g in lower_to_cz(c.gates):
+        if len(g.qubits) == 1:
+            q, p = g.qubits[0], g.angle
+            i = avail[q] if avail[q] % 2 == 0 else avail[q] + 1
+            layer_at(i).setdefault(q, []).append((g.kind, 0, 1) if p is None else (g.kind, p.numerator, p.denominator))
+            avail[q] = i
         else:
-            raise ValueError(f"cannot layerize gate kind {g.kind!r}")
+            i = max(a if a % 2 == 1 else a + 1 for a in (avail[q] for q in g.qubits))
+            layer_at(i).append(_to_ncp(g))
+            for q in g.qubits:
+                avail[q] = i + 1
 
     while layers and not layers[-1]:
         layers.pop()

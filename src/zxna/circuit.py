@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .phase import Phase
 
-__all__ = ["Gate", "Circuit", "cancel_gates", "to_ncz_baseline"]
+__all__ = ["Gate", "Circuit", "cancel_gates", "lower_to_cz", "to_ncz_baseline"]
 
 #: Gate kinds without a parameter.
 FIXED_KINDS = {"H", "X", "Y", "Z", "S", "Sdg", "T", "Tdg", "CX", "CZ", "Swap", "NCZ"}
@@ -42,8 +42,8 @@ class Gate:
 
     def __post_init__(self):
         if self.kind in ANGLE_KINDS:
-            if self.angle is None:
-                raise ValueError(f"{self.kind} requires an angle")
+            if type(self.angle) is not Phase:
+                raise ValueError(f"{self.kind} requires a Phase angle, got {self.angle!r}")
         elif self.kind in FIXED_KINDS:
             if self.angle is not None:
                 raise ValueError(f"{self.kind} takes no angle")
@@ -173,31 +173,28 @@ def cancel_gates(c: Circuit) -> Circuit:
     return c.with_gates(g for g in out if g is not None)
 
 
+def lower_to_cz(gates: Iterable[Gate]) -> Iterator[Gate]:
+    """The gates with each CX as ``H(tgt), CZ(ctl, tgt), H(tgt)``, one ``H``
+    object in both places, and each ``Swap(a, b)`` as the lowering of
+    ``CX(a, b), CX(b, a), CX(a, b)``.  Every other gate passes through.
+    """
+    for g in gates:
+        if g.kind not in ("CX", "Swap"):
+            yield g
+            continue
+        a, b = g.qubits
+        for ctl, tgt in [(a, b)] if g.kind == "CX" else [(a, b), (b, a), (a, b)]:
+            h = Gate("H", (tgt,))
+            yield h
+            yield Gate("CZ", (ctl, tgt))
+            yield h
+
+
 def to_ncz_baseline(c: Circuit) -> Circuit:
     """Rewrite all controlled gates into their C_nZ / C_nP equivalents.
 
-    CX becomes CZ conjugated by H on the target, Swap three CX; CZ is kept
-    as NCZ on two qubits.  The result contains only single-qubit gates and
-    NCZ/NCP gates.
+    CX and Swap go through :func:`lower_to_cz`, and each CZ becomes NCZ on
+    two qubits.  The result contains only single-qubit gates and NCZ/NCP
+    gates.
     """
-    out: list[Gate] = []
-
-    def emit(g: Gate):
-        if g.kind == "CX":
-            ctl, tgt = g.qubits
-            out.append(Gate("H", (tgt,)))
-            out.append(Gate("NCZ", (ctl, tgt)))
-            out.append(Gate("H", (tgt,)))
-        elif g.kind == "CZ":
-            out.append(Gate("NCZ", g.qubits))
-        elif g.kind == "Swap":
-            a, b = g.qubits
-            emit(Gate("CX", (a, b)))
-            emit(Gate("CX", (b, a)))
-            emit(Gate("CX", (a, b)))
-        else:
-            out.append(g)
-
-    for g in c.gates:
-        emit(g)
-    return c.with_gates(out)
+    return c.with_gates(Gate("NCZ", g.qubits) if g.kind == "CZ" else g for g in lower_to_cz(c.gates))

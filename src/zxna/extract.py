@@ -351,8 +351,10 @@ class _Extractor:
 
 
 def extract_circuit(d: ZxDiagram, mode: ExtractionMode = ExtractionMode()) -> Circuit:
-    """Extract a circuit over {H, Rz, CZ, CX, NCP} from a diagram with gflow."""
+    """Extract a circuit over {H, Rz, CZ, CX, NCP} from a square diagram with gflow."""
     graph = labeled_graph_of(d)
     if find_gflow(graph) is None:
         raise ExtractionError("diagram not extractable: no gflow", d)
+    if len(d.inputs) != len(d.outputs):
+        raise ExtractionError(f"diagram not extractable: {len(d.inputs)} inputs but {len(d.outputs)} outputs", d)
     return _Extractor(d, mode).run()

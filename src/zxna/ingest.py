@@ -2,7 +2,8 @@
 
 Gates are replaced by their spider templates while fusing eagerly, so the
 produced diagram is graph-like by construction: Z-spiders only, Hadamard
-wires only, no self-loops or parallel wires.  Hadamard gates toggle a
+wires only, no self-loops or parallel wires.  CX and Swap arrive as
+H·CZ·H from :func:`~zxna.circuit.lower_to_cz`.  Hadamard gates toggle a
 pending marker on the wire instead of creating a spider; X-basis gates go
 through the color-change into Z-spiders flanked by Hadamard wires;
 multi-controlled phases splice in their gadget structure directly.
@@ -10,7 +11,7 @@ multi-controlled phases splice in their gadget structure directly.
 
 from __future__ import annotations
 
-from .circuit import PHASE_GATE_ANGLES, Circuit, Gate
+from .circuit import PHASE_GATE_ANGLES, Circuit, Gate, lower_to_cz
 from .cnp import add_cnp
 from .diagram import ZxDiagram
 from .phase import Phase
@@ -51,11 +52,6 @@ class _Builder:
     def cz(self, a: int, b: int) -> None:
         self.d.toggle_edge(self.anchor(a), self.anchor(b))
 
-    def cx(self, ctl: int, tgt: int) -> None:
-        self.h(tgt)
-        self.cz(ctl, tgt)
-        self.h(tgt)
-
     def ncp(self, qubits: tuple[int, ...], phi: Phase) -> None:
         add_cnp(self.d, [self.anchor(q) for q in qubits], phi)
 
@@ -69,7 +65,7 @@ class _Builder:
 def circuit_to_diagram(c: Circuit) -> ZxDiagram:
     """Translate a circuit into an equivalent graph-like ZX-diagram."""
     b = _Builder(c.num_qubits)
-    for g in c.gates:
+    for g in lower_to_cz(c.gates):
         _ingest_gate(b, g)
     return b.finish()
 
@@ -98,13 +94,6 @@ def _ingest_gate(b: _Builder, g: Gate) -> None:
         b.rz(q, Phase(1, 2))
     elif k == "CZ":
         b.cz(*g.qubits)
-    elif k == "CX":
-        b.cx(*g.qubits)
-    elif k == "Swap":
-        a, t = g.qubits
-        b.cx(a, t)
-        b.cx(t, a)
-        b.cx(a, t)
     elif k == "NCP":
         b.ncp(g.qubits, g.angle)
     elif k == "NCZ":

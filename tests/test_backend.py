@@ -80,6 +80,13 @@ def test_layerize_cx_lowering():
     assert mq == [Ncp((0, 1), math.pi)]
     sched = schedule(c)
     assert equal_up_to_scalar(native_unitary(sched.ops, 2), circuit_unitary(c), 1e-9)
+    # a Swap is three CX, alternating direction
+    c = Circuit(2, (Gate("Swap", (0, 1)),))
+    layers = layerize(c)
+    assert [op for lay in layers[1::2] for op in lay] == [Ncp((0, 1), math.pi), Ncp((1, 0), math.pi), Ncp((0, 1), math.pi)]
+    assert [sorted(lay) for lay in layers[0::2]] == [[1], [0, 1], [0, 1], [1]]
+    sched = schedule(c)
+    assert equal_up_to_scalar(native_unitary(sched.ops, 2), circuit_unitary(c), 1e-9)
 
 
 def test_transversal_single_ry_layer():

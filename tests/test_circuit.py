@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import cancel_gates_reference, rand_corpus_circuit, rand_rich_circuit
+from helpers import RICH_KINDS, cancel_gates_reference, rand_corpus_circuit, rand_rich_circuit
 from zxna import (
     Circuit,
     ExtractionMode,
@@ -13,8 +13,10 @@ from zxna import (
     equal_up_to_scalar,
     extract_circuit,
     full_simplify,
+    schedule,
     to_ncz_baseline,
 )
+from zxna.circuit import lower_to_cz
 from zxna.ingest import circuit_to_diagram, to_graph_like
 
 
@@ -31,6 +33,16 @@ def test_gate_validation():
         Gate("NCP", (0,), Phase(1))
     with pytest.raises(ValueError):
         Gate("Frob", (0,))
+
+
+def test_gate_rejects_a_non_phase_angle():
+    # an int Rz(1) would schedule as Rz(pi) but be written as rz(1), one radian;
+    # a float would fail far from here, in whichever pass read it first
+    for kind, qubits in (("Rz", (0,)), ("Rx", (0,)), ("Ry", (0,)), ("NCP", (0, 1))):
+        for angle in (1, 0.5):
+            with pytest.raises(ValueError, match=f"{kind} requires a Phase angle, got {angle}"):
+                Gate(kind, qubits, angle)
+        assert Gate(kind, qubits, Phase(1, 2)).angle == Phase(1, 2)
 
 
 def test_circuit_validation():
@@ -133,6 +145,36 @@ def test_cancel_matches_scan_back_reference():
         assert out.gates == cancel_gates_reference(c).gates
         removed += len(c) - len(out)
     assert removed > 1000  # the corpus exercises the merges
+
+
+def test_lower_to_cz_order():
+    h0, h2 = Gate("H", (0,)), Gate("H", (2,))
+    cx = list(lower_to_cz([Gate("CX", (2, 0))]))
+    assert cx == [h0, Gate("CZ", (2, 0)), h0]
+    assert cx[0] is cx[2]  # one H object per CX
+    assert list(lower_to_cz([Gate("Swap", (0, 2))])) == [
+        h2, Gate("CZ", (0, 2)), h2,
+        h0, Gate("CZ", (2, 0)), h0,
+        h2, Gate("CZ", (0, 2)), h2,
+    ]
+    others = [g for seed in range(20) for g in rand_rich_circuit(seed).gates if g.kind not in ("CX", "Swap")]
+    assert {g.kind for g in others} == set(RICH_KINDS) - {"CX", "Swap"}
+    out = list(lower_to_cz(others))
+    assert len(out) == len(others) and all(a is b for a, b in zip(out, others))
+
+
+def test_consumers_read_the_one_lowering():
+    # ingest, the NCZ baseline and the scheduler see a CX or Swap exactly as
+    # the H-CZ-H gates lower_to_cz yields for it
+    kinds = set()
+    for seed in range(200):
+        c = rand_rich_circuit(seed)
+        kinds.update(g.kind for g in c.gates)
+        low = c.with_gates(lower_to_cz(c.gates))
+        assert circuit_to_diagram(c).to_json() == circuit_to_diagram(low).to_json()
+        assert to_ncz_baseline(c) == to_ncz_baseline(low)
+        assert schedule(c).to_json() == schedule(low).to_json()
+    assert {"CX", "Swap"} <= kinds
 
 
 def test_baseline_cx():

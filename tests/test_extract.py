@@ -18,13 +18,15 @@ from zxna import (
     diagram_tensor,
     equal_up_to_scalar,
     extract_circuit,
+    find_gflow,
     full_simplify,
     parse_qasm,
     synthesize,
 )
-from zxna.cnp import match_cnp
+from zxna.cnp import add_cnp, match_cnp
 from zxna.extract import ExtractionError, _Extractor, pivot_yz_neighbor
 from zxna.gf2 import row_reduce
+from zxna.gflow import labeled_graph_of
 from zxna.ingest import circuit_to_diagram, to_graph_like
 
 
@@ -119,6 +121,18 @@ def test_extract_requires_gflow():
     with pytest.raises(ExtractionError, match="no gflow") as info:
         extract_circuit(d)
     # the message carries the diagram, as every other ExtractionError does
+    dump = str(info.value).split("\ndiagram: ", 1)[1]
+    assert ZxDiagram.from_json(dump).to_json() == d.to_json()
+
+
+def test_extract_rejects_a_non_square_diagram():
+    # gflow exists, but no circuit has 0 inputs and 2 outputs
+    d = ZxDiagram(0, 2)
+    d.outputs = [d.add_spider(), d.add_spider()]
+    add_cnp(d, list(d.outputs), Phase(1, 4))
+    assert find_gflow(labeled_graph_of(d)) is not None
+    with pytest.raises(ExtractionError, match="0 inputs but 2 outputs") as info:
+        extract_circuit(d)
     dump = str(info.value).split("\ndiagram: ", 1)[1]
     assert ZxDiagram.from_json(dump).to_json() == d.to_json()
 
