@@ -325,7 +325,7 @@ def _decompose(eulers: dict, num_qubits: int, mids: dict, corrs: dict) -> list[N
         if abs(a) > _EPS:
             pre[q] = a
         if abs(b) > _EPS:
-            mid[q] = _norm_angle(b)
+            mid[q] = b
         if abs(cc) > _EPS:
             post[q] = cc
     ops: list[NativeOp] = []

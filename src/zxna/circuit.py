@@ -178,16 +178,17 @@ def lower_to_cz(gates: Iterable[Gate]) -> Iterator[Gate]:
     object in both places, and each ``Swap(a, b)`` as the lowering of
     ``CX(a, b), CX(b, a), CX(a, b)``.  Every other gate passes through.
     """
+    triples: dict[tuple[int, int], tuple[Gate, Gate, Gate]] = {}  # each (ctl, tgt) built once
     for g in gates:
         if g.kind not in ("CX", "Swap"):
             yield g
             continue
         a, b = g.qubits
         for ctl, tgt in [(a, b)] if g.kind == "CX" else [(a, b), (b, a), (a, b)]:
-            h = Gate("H", (tgt,))
-            yield h
-            yield Gate("CZ", (ctl, tgt))
-            yield h
+            if (ctl, tgt) not in triples:
+                h = Gate("H", (tgt,))
+                triples[ctl, tgt] = h, Gate("CZ", (ctl, tgt)), h
+            yield from triples[ctl, tgt]
 
 
 def to_ncz_baseline(c: Circuit) -> Circuit:

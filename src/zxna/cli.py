@@ -3,7 +3,8 @@
 ``run`` synthesizes and schedules one OpenQASM file through a pipeline and
 prints a report; ``suite`` sweeps a directory of .qasm files through several
 pipelines and emits a merged table with an aggregate row of mean relative
-execution time against a baseline pipeline.
+execution time against a baseline pipeline.  Both build their rows with
+:func:`_reports`.
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ from dataclasses import fields
 from pathlib import Path
 from typing import Optional
 
-from .backend import Schedule, TimeConfig, schedule_counts
+from .backend import TimeConfig, schedule_counts
 from .circuit import Circuit
-from .oracle import MAX_QUBITS, circuit_unitary, equal_up_to_scalar
+from .oracle import circuit_unitary, equal_up_to_scalar
 from .pipeline import PIPELINES, run_pipeline
-from .qasm import QasmError, parse_qasm, write_qasm
+from .qasm import parse_qasm, write_qasm
 
 VERIFY_MAX_QUBITS = 10
 
@@ -52,25 +53,6 @@ def _error(rep: dict) -> int:
     return 1
 
 
-def _report(file: str, pipeline: str, sched: Schedule, runtime_s: float, verified) -> dict:
-    counts = schedule_counts(sched.ops)
-    return {
-        "file": file,
-        "pipeline": pipeline,
-        "counts": counts,
-        "time_ms": sched.total_time * 1e3,
-        "runtime_s": runtime_s,
-        "verified": verified,
-    }
-
-
-def _reference(c: Circuit, args):
-    """The input's dense unitary when ``--verify`` asks for a check and it fits, else None."""
-    if args.verify and c.num_qubits <= min(MAX_QUBITS, VERIFY_MAX_QUBITS):
-        return circuit_unitary(c)
-    return None
-
-
 def _run_one(name: str, c: Circuit, ref, pipeline: str, args, time_config: TimeConfig) -> dict:
     t0 = time.perf_counter()
     out, sched = run_pipeline(
@@ -82,24 +64,42 @@ def _run_one(name: str, c: Circuit, ref, pipeline: str, args, time_config: TimeC
         Path(args.emit_qasm).write_text(write_qasm(out))
     if args.emit_schedule:
         Path(args.emit_schedule).write_text(sched.to_json())
-    return _report(name, pipeline, sched, runtime, verified)
+    return {
+        "file": name,
+        "pipeline": pipeline,
+        "counts": schedule_counts(sched.ops),
+        "time_ms": sched.total_time * 1e3,
+        "runtime_s": runtime,
+        "verified": verified,
+    }
+
+
+def _reports(path: Path, pipelines: list[str], args, time_config: TimeConfig) -> list[dict]:
+    """One report or error row per pipeline for the file at ``path``.
+
+    The file is parsed, and its dense unitary built when ``--verify`` asks
+    for a check and it fits, once for all pipelines.
+    """
+    errors = (ValueError, RuntimeError, OSError)  # QasmError is a ValueError
+    try:
+        c = parse_qasm(path.read_text())
+        ref = circuit_unitary(c) if args.verify and c.num_qubits <= VERIFY_MAX_QUBITS else None
+    except errors as e:
+        return [{"file": path.name, "pipeline": p, "error": str(e)} for p in pipelines]
+    rows = []
+    for p in pipelines:
+        try:
+            rows.append(_run_one(path.name, c, ref, p, args, time_config))
+        except errors as e:
+            rows.append({"file": path.name, "pipeline": p, "error": str(e)})
+    return rows
 
 
 def _flatten(rep: dict) -> dict:
-    row = {
-        "file": rep["file"],
-        "pipeline": rep["pipeline"],
-        "gr_pulses": rep["counts"]["gr_pulses"],
-        "gr_layers": rep["counts"]["gr_layers"],
-        "rz_layers": rep["counts"]["rz_layers"],
-        "ncp": json.dumps(rep["counts"]["ncp"]),
-        "time_ms": rep["time_ms"],
-        "runtime_s": rep["runtime_s"],
-        "verified": rep["verified"],
-    }
-    if "error" in rep:
-        row["error"] = rep["error"]
-    return row
+    """The row with its counts as columns of their own, the NCP histogram as JSON text."""
+    if "counts" not in rep:
+        return rep
+    return {**rep, **rep["counts"], "ncp": json.dumps(rep["counts"]["ncp"])}
 
 
 def _emit(rows: list[dict], fmt: str, stream) -> None:
@@ -107,19 +107,16 @@ def _emit(rows: list[dict], fmt: str, stream) -> None:
         json.dump(rows, stream, indent=2)
         stream.write("\n")
         return
-    fields = ["file", "pipeline", "gr_pulses", "gr_layers", "rz_layers", "ncp", "time_ms", "runtime_s", "verified"]
-    for extra in ("reduction", "error"):
-        if any(extra in r for r in rows):
-            fields.append(extra)
-    flat = [_flatten(r) if "counts" in r else r for r in rows]
+    fields = ["file", "pipeline", *schedule_counts([]), "time_ms", "runtime_s", "verified"]
+    fields += [extra for extra in ("reduction", "error") if any(extra in r for r in rows)]
+    flat = [_flatten(r) for r in rows]
     if fmt == "csv":
         w = csv.DictWriter(stream, fieldnames=fields, extrasaction="ignore")
         w.writeheader()
-        for r in flat:
-            w.writerow(r)
+        w.writerows(flat)
         return
     # plain table
-    widths = {f: max(len(f), *(len(str(r.get(f, ""))) for r in flat)) if flat else len(f) for f in fields}
+    widths = {f: max([len(f), *(len(str(r.get(f, ""))) for r in flat)]) for f in fields}
     stream.write("  ".join(f.ljust(widths[f]) for f in fields) + "\n")
     for r in flat:
         stream.write("  ".join(str(r.get(f, "")).ljust(widths[f]) for f in fields) + "\n")
@@ -128,28 +125,26 @@ def _emit(rows: list[dict], fmt: str, stream) -> None:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="zxna", description="neutral-atom circuit synthesis")
     sub = ap.add_subparsers(dest="cmd", required=True)
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--max-ctrl", type=int, default=None)
+    shared.add_argument("--verify", action="store_true")
+    shared.add_argument("--debug", action="store_true", help="check gflow around every gadget insertion")
+    shared.add_argument("--time-config", metavar="PATH")
 
-    runp = sub.add_parser("run", help="synthesize one qasm file")
+    runp = sub.add_parser("run", parents=[shared], help="synthesize one qasm file")
     runp.add_argument("file")
     runp.add_argument("--pipeline", choices=PIPELINES, default="zx-with-insert")
-    runp.add_argument("--max-ctrl", type=int, default=None)
-    runp.add_argument("--verify", action="store_true")
-    runp.add_argument("--debug", action="store_true", help="check gflow around every gadget insertion")
     runp.add_argument("--emit-qasm", metavar="PATH")
     runp.add_argument("--emit-schedule", metavar="PATH")
     runp.add_argument("--format", choices=("json", "csv", "table"), default="json")
-    runp.add_argument("--time-config", metavar="PATH")
 
-    suitep = sub.add_parser("suite", help="run a directory of qasm files")
+    suitep = sub.add_parser("suite", parents=[shared], help="run a directory of qasm files")
     suitep.add_argument("directory")
     suitep.add_argument("--pipeline", action="append", choices=PIPELINES, dest="pipelines")
     suitep.add_argument("--baseline", choices=PIPELINES, default="no-decomp")
-    suitep.add_argument("--max-ctrl", type=int, default=None)
-    suitep.add_argument("--verify", action="store_true")
-    suitep.add_argument("--debug", action="store_true")
     suitep.add_argument("--format", choices=("json", "csv", "table"), default="table")
     suitep.add_argument("--out", metavar="PATH")
-    suitep.add_argument("--time-config", metavar="PATH")
+    suitep.set_defaults(emit_qasm=None, emit_schedule=None)
 
     args = ap.parse_args(argv)
     try:
@@ -158,46 +153,26 @@ def main(argv=None) -> int:
         return _error({"error": str(e)})
 
     if args.cmd == "run":
-        try:
-            path = Path(args.file)
-            c = parse_qasm(path.read_text())
-            rep = _run_one(path.name, c, _reference(c, args), args.pipeline, args, time_config)
-        except (QasmError, ValueError, RuntimeError, OSError) as e:
-            return _error({"file": args.file, "pipeline": args.pipeline, "error": str(e)})
+        (rep,) = _reports(Path(args.file), [args.pipeline], args, time_config)
+        if "error" in rep:
+            return _error({**rep, "file": args.file})
         _emit([rep], args.format, sys.stdout)
         return 0
 
-    # suite
-    args.emit_qasm = None
-    args.emit_schedule = None
-    # each pipeline once, in first-named order; the baseline runs even if not named
+    # suite: each pipeline once, in first-named order; the baseline runs even if not named
     pipelines = list(dict.fromkeys([*(args.pipelines or PIPELINES), args.baseline]))
     files = sorted(Path(args.directory).glob("*.qasm"))
     if not files:
         return _error({"error": f"no .qasm files in directory {args.directory}"})
-    rows: list[dict] = []
-    failed = False
-    for f in files:
-        try:
-            c = parse_qasm(f.read_text())
-            ref = _reference(c, args)
-        except (QasmError, ValueError, OSError) as e:
-            rows.extend({"file": f.name, "pipeline": p, "error": str(e)} for p in pipelines)
-            failed = True
-            continue
-        for p in pipelines:
-            try:
-                rows.append(_run_one(f.name, c, ref, p, args, time_config))
-            except (ValueError, RuntimeError) as e:
-                rows.append({"file": f.name, "pipeline": p, "error": str(e)})
-                failed = True
+    rows = [r for f in files for r in _reports(f, pipelines, args, time_config)]
+    failed = any("error" in r for r in rows)
     # aggregate row: mean relative execution time against the baseline pipeline
-    base_t = {r["file"]: r["time_ms"] for r in rows if r.get("pipeline") == args.baseline and "time_ms" in r}
+    base_t = {r["file"]: r["time_ms"] for r in rows if r["pipeline"] == args.baseline and "time_ms" in r}
     for p in pipelines:
         rel = [
             1.0 - r["time_ms"] / base_t[r["file"]]
             for r in rows
-            if r.get("pipeline") == p and "time_ms" in r and base_t.get(r["file"])
+            if r["pipeline"] == p and "time_ms" in r and base_t.get(r["file"])
         ]
         if rel:
             rows.append(

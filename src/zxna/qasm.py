@@ -67,8 +67,8 @@ _ONE_CHAR_TOKEN = re.compile(r"[A-Za-z_{}()\[\],;+\-*/]|\d")
 
 
 #: QASM name -> (IR kind, parameter count, qubit count).  Kind ``None`` drops
-#: the gate; ``u2``, ``u3`` and ``ccx`` are composites, and ``Swap`` is
-#: read as three CX.  The first name listed for a kind is the one written.
+#: the gate; ``u2``, ``u3`` and ``ccx`` are composites.  The first name
+#: listed for a kind is the one written.
 _GATES = {
     "h": ("H", 0, 1), "x": ("X", 0, 1), "y": ("Y", 0, 1), "z": ("Z", 0, 1),
     "s": ("S", 0, 1), "sdg": ("Sdg", 0, 1), "t": ("T", 0, 1), "tdg": ("Tdg", 0, 1),
@@ -381,9 +381,6 @@ class _Parser:
             self._u3(Phase(1, 2), *phases, qubits[0])
         elif kind == "u3":
             self._u3(*phases, qubits[0])
-        elif kind == "Swap":
-            a, b = qubits
-            self.gates += [Gate("CX", (a, b)), Gate("CX", (b, a)), Gate("CX", (a, b))]
         elif kind == "ccx":
             h = Gate("H", (qubits[2],))
             self.gates += [h, Gate("NCZ", tuple(qubits)), h]

@@ -129,6 +129,23 @@ def test_transversal_random_layers():
         assert equal_up_to_scalar(u, ref, 1e-9)
 
 
+def test_transversal_middle_angles_lie_in_zero_to_pi():
+    # b = 2 acos(clamped ratio) is stored as it is, with no wrap into (-pi, pi]
+    rng = random.Random(29)
+    exact = [gate_matrix(Gate(k, (0,))) for k in ("H", "X", "Y", "S", "T")] + [ry_matrix(math.pi)]
+    angles = []
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        layer = {q: rng.choice(exact) if rng.random() < 0.3 else random_su2(rng)
+                 for q in range(n) if rng.random() < 0.7}
+        ops = transversal_decompose(layer, n)
+        for first, mid, second in zip(ops, ops[1:], ops[2:]):
+            if isinstance(first, GR) and isinstance(second, GR):
+                angles += mid.angles.values()
+    assert math.pi in angles  # an idle qubit's b
+    assert all(0.0 <= b <= math.pi for b in angles)
+
+
 def test_greedy_assign_monotone_and_sound():
     rng = random.Random(31)
     for seed in range(25):

@@ -69,6 +69,17 @@ def test_run_emits_artifacts(qasm_file, tmp_path, capsys):
     assert "ops" in sched and "total_time" in sched
 
 
+def test_run_unwritable_emit_qasm(qasm_file, tmp_path, capsys):
+    out = tmp_path / "missing" / "out.qasm"
+    rc = main(["run", str(qasm_file), "--pipeline", "no-decomp", "--emit-qasm", str(out)])
+    assert rc == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    rep = json.loads(lines[0])
+    assert list(rep) == ["file", "pipeline", "error"]
+    assert rep["file"] == str(qasm_file) and rep["pipeline"] == "no-decomp" and str(out) in rep["error"]
+
+
 def test_run_table_and_csv_formats(qasm_file, capsys):
     rc = main(["run", str(qasm_file), "--format", "table"])
     assert rc == 0
@@ -263,6 +274,23 @@ def test_suite_error_marks_failure(tmp_path, capsys):
     rows = json.loads(capsys.readouterr().out)
     assert any("error" in r for r in rows)
     assert any("counts" in r for r in rows)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "table"])
+def test_suite_columns_with_error_and_aggregate_rows(tmp_path, capsys, fmt):
+    d = tmp_path / "bench"
+    d.mkdir()
+    (d / "bad.qasm").write_text(BROKEN)  # sorts first, so an error row leads
+    (d / "good.qasm").write_text(SIMPLE)
+    rc = main(["suite", str(d), "--pipeline", "zx-default", "--format", fmt])
+    assert rc == 1
+    lines = capsys.readouterr().out.splitlines()
+    header = lines[0].split(",") if fmt == "csv" else lines[0].split()
+    assert header == [
+        "file", "pipeline", "gr_pulses", "gr_layers", "rz_layers", "ncp",
+        "time_ms", "runtime_s", "verified", "reduction", "error",
+    ]
+    assert len(lines) == 1 + 4 + 2  # two error rows, two reports, two aggregates
 
 
 def test_suite_unreadable_entry_marks_failure(tmp_path, capsys):

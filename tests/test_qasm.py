@@ -1,6 +1,5 @@
 import hashlib
 import math
-import random
 
 import numpy as np
 import pytest
@@ -344,13 +343,8 @@ def test_gate_calls_are_capped(monkeypatch):
 
 
 def test_roundtrip_random_circuits():
-    rng = random.Random(0)
     for seed in range(60):
         c = rand_rich_circuit(seed, max_qubits=5, max_gates=25)
-        # swap is serialized natively but parsed as three CX; skip for
-        # exact gate-list comparison
-        gates = tuple(g for g in c.gates if g.kind != "Swap")
-        c = Circuit(c.num_qubits, gates)
         back = parse_qasm(write_qasm(c))
         assert back.num_qubits == c.num_qubits
         assert back.gates == c.gates
@@ -415,7 +409,7 @@ def test_parse_digest():
     for text in texts:
         c = parse_qasm(text)
         h.update(repr((c.num_qubits, c.gates, c.measurements)).encode())
-    assert h.hexdigest() == "20e7a00bff34e6129c1b4014770d2a07e287cd209d5946d250acd4da57797d31"
+    assert h.hexdigest() == "0866133f09fb0976c2f6ce6a6d6174eb7088f971c50d50975027efc222d63293"
 
 
 def _edits(text):
