@@ -81,9 +81,11 @@ class Circuit:
         if self.num_qubits < 1:
             raise ValueError("circuit needs at least one qubit")
         object.__setattr__(self, "gates", tuple(self.gates))
-        for g in self.gates:
-            if any(q < 0 or q >= self.num_qubits for q in g.qubits):
-                raise ValueError(f"gate {g} out of range for {self.num_qubits} qubits")
+        n = self.num_qubits
+        qs = [q for g in self.gates for q in g.qubits]
+        if qs and not 0 <= min(qs) <= max(qs) < n:
+            bad = next(g for g in self.gates if not all(0 <= q < n for q in g.qubits))
+            raise ValueError(f"gate {bad} out of range for {n} qubits")
 
     def with_gates(self, gates: Iterable[Gate]) -> "Circuit":
         return Circuit(self.num_qubits, tuple(gates), self.measurements)

@@ -54,8 +54,8 @@ class ExtractionMode:
     ``default`` disables NCP extraction entirely; ``no-insert`` only matches
     structures already present; ``with-insert`` may complete partial
     structures by inserting the missing gadgets.  ``max_ctrl`` caps emitted
-    NCP arity; it is None (no cap) or at least 2.  ``debug`` re-verifies
-    gflow around every gadget insertion.
+    NCP arity; it is None (no cap) or an int of at least 2.  ``debug``
+    re-verifies gflow around every gadget insertion.
     """
 
     kind: Literal["default", "no-insert", "with-insert"] = "default"
@@ -65,8 +65,8 @@ class ExtractionMode:
     def __post_init__(self) -> None:
         if self.kind not in ("default", "no-insert", "with-insert"):
             raise ValueError(f"unknown extraction kind {self.kind!r}")
-        if self.max_ctrl is not None and self.max_ctrl < 2:
-            raise ValueError(f"max_ctrl must be at least 2 (an NCP spans two qubits), got {self.max_ctrl}")
+        if self.max_ctrl is not None and (type(self.max_ctrl) is not int or self.max_ctrl < 2):
+            raise ValueError(f"max_ctrl must be at least 2 (an NCP spans two qubits) and an int, got {self.max_ctrl!r}")
 
 
 class ExtractionError(RuntimeError):
@@ -234,7 +234,7 @@ class _Extractor:
     def _check_insertion(self, f, gadget) -> None:
         """Debug mode: extend the pre-insertion gflow over the new gadget and verify it."""
         graph = labeled_graph_of(self.d)
-        f = extend_gflow_insertion(graph, f, gadget.root, set(gadget.legs))
+        f = extend_gflow_insertion(graph, f, gadget.root)
         if not verify_gflow(graph, f):
             raise ExtractionError("gflow extension failed verification", self.d)
 

@@ -20,7 +20,7 @@ of them:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .diagram import ZxDiagram
@@ -39,23 +39,16 @@ __all__ = [
 
 @dataclass
 class LabeledOpenGraph:
-    """Vertices, undirected edges, ordered boundaries and plane labels."""
+    """Each vertex's own neighbour set, ordered boundaries and plane labels."""
 
-    vertices: tuple[int, ...]
-    edges: frozenset[frozenset[int]]
+    adj: dict[int, set[int]]
     inputs: tuple[int, ...]
     outputs: tuple[int, ...]
     labels: dict[int, str]  # XY / XZ / YZ for non-output vertices
 
-    def __post_init__(self):
-        self._adj: dict[int, set[int]] = {v: set() for v in self.vertices}
-        for e in self.edges:
-            u, v = tuple(e)
-            self._adj[u].add(v)
-            self._adj[v].add(u)
-
-    def neighbors(self, v: int) -> set[int]:
-        return self._adj[v]
+    @property
+    def vertices(self) -> tuple[int, ...]:
+        return tuple(self.adj)
 
 
 @dataclass
@@ -70,32 +63,25 @@ def odd_neighborhood(graph: LabeledOpenGraph, s: Iterable[int]) -> set[int]:
     """Vertices adjacent to an odd number of members of s."""
     count: dict[int, int] = {}
     for v in s:
-        for w in graph.neighbors(v):
+        for w in graph.adj[v]:
             count[w] = count.get(w, 0) + 1
     return {w for w, c in count.items() if c % 2 == 1}
 
 
 def labeled_graph_of(d: ZxDiagram) -> LabeledOpenGraph:
-    """View a graph-like diagram as a labeled open graph.
+    """The labeled open graph of a graph-like diagram.
 
     Gadget tops are dropped; their roots are labeled YZ.  Every other
-    non-output spider is an XY measurement.
+    non-output spider is an XY measurement.  The graph owns its neighbour
+    sets, so later changes to ``d`` leave it as it is.
     """
     gadgets = d.find_gadgets()
     tops = {g.top for g in gadgets}
     roots = {g.root for g in gadgets}
-    verts = tuple(v for v in d.spiders() if v not in tops)
-    vset = set(verts)
-    edges = frozenset(
-        frozenset((u, v)) for u, v in d.edges() if u in vset and v in vset
-    )
+    adj = {v: d.adjacent(v) - tops if v in roots else set(d.adjacent(v)) for v in d.spiders() if v not in tops}
     outs = tuple(d.outputs)
-    labels = {}
-    for v in verts:
-        if v in outs:
-            continue
-        labels[v] = "YZ" if v in roots else "XY"
-    return LabeledOpenGraph(verts, edges, tuple(d.inputs), outs, labels)
+    labels = {v: "YZ" if v in roots else "XY" for v in adj if v not in outs}
+    return LabeledOpenGraph(adj, tuple(d.inputs), outs, labels)
 
 
 def find_gflow(graph: LabeledOpenGraph) -> Optional[GFlow]:
@@ -146,7 +132,7 @@ def _solve_layer(
     bit = {c: 1 << j for j, c in enumerate(cols)}
     bit.update((v, 1 << (ncols + j)) for j, v in enumerate(pending) if labels[v] != "XY")
     rows = [
-        sum((bit[w] for w in graph.neighbors(u) if w in bit), 0 if labels[u] == "YZ" else 1 << (ncols + i))
+        sum((bit[w] for w in graph.adj[u] if w in bit), 0 if labels[u] == "YZ" else 1 << (ncols + i))
         for i, u in enumerate(pending)
     ]
     rref, _, pivots = row_reduce(rows, ncols)
@@ -195,17 +181,16 @@ def verify_gflow(graph: LabeledOpenGraph, f: GFlow) -> bool:
     return True
 
 
-def extend_gflow_insertion(
-    graph: LabeledOpenGraph, f: GFlow, new_vertex: int, legs: set[int]
-) -> GFlow:
+def extend_gflow_insertion(graph: LabeledOpenGraph, f: GFlow, new_vertex: int) -> GFlow:
     """Extend a verified gflow over a freshly inserted YZ vertex on outputs.
 
     The new vertex corrects itself and is ordered after every non-output
     but before all outputs; existing correction sets are untouched.
-    ``graph`` must already contain the new vertex and its leg edges.
+    ``graph`` must already contain the new vertex; its legs are its
+    neighbours there.
     """
     outs = set(graph.outputs)
-    if not set(legs) <= outs:
+    if not graph.adj[new_vertex] <= outs:
         raise ValueError("inserted gadget legs must all be outputs")
     g2 = dict(f.g)
     g2[new_vertex] = frozenset({new_vertex})

@@ -203,6 +203,15 @@ def brute_gflow_exists(graph: LabeledOpenGraph) -> bool:
     return True
 
 
+def open_graph(verts, edges, inputs, outputs, labels) -> LabeledOpenGraph:
+    """The labeled open graph on ``verts`` with the undirected ``edges`` (pairs)."""
+    adj = {v: set() for v in verts}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return LabeledOpenGraph(adj, tuple(inputs), tuple(outputs), labels)
+
+
 def rand_open_graph(seed: int, min_v: int = 6, max_v: int = 8) -> LabeledOpenGraph:
     """Random labeled open graph with XY/XZ/YZ labels."""
     rng = random.Random(seed)
@@ -212,14 +221,14 @@ def rand_open_graph(seed: int, min_v: int = 6, max_v: int = 8) -> LabeledOpenGra
     for a in range(n):
         for b in range(a + 1, n):
             if rng.random() < 0.4:
-                edges.add(frozenset((a, b)))
+                edges.add((a, b))
     k_out = rng.randint(1, n)
     outputs = tuple(rng.sample(range(n), k_out))
     rest = [v for v in verts if v not in outputs]
     k_in = rng.randint(0, min(len(rest), n))
     inputs = tuple(rng.sample(rest, k_in)) if k_in else ()
     labels = {v: rng.choice(("XY", "XZ", "YZ")) for v in verts if v not in outputs}
-    return LabeledOpenGraph(verts, frozenset(edges), inputs, outputs, labels)
+    return open_graph(verts, edges, inputs, outputs, labels)
 
 
 def all_small_open_graphs(max_v: int = 3):
@@ -234,14 +243,14 @@ def all_small_open_graphs(max_v: int = 3):
         verts = tuple(range(n))
         pairs = list(combinations(range(n), 2))
         for emask in range(1 << len(pairs)):
-            edges = frozenset(frozenset(pairs[i]) for i in range(len(pairs)) if (emask >> i) & 1)
+            edges = [pairs[i] for i in range(len(pairs)) if (emask >> i) & 1]
             for role in product(range(4), repeat=n):  # 0 none, 1 in, 2 out, 3 both
                 inputs = tuple(v for v in verts if role[v] in (1, 3))
                 outputs = tuple(v for v in verts if role[v] in (2, 3))
                 non_out = [v for v in verts if v not in outputs]
                 for labs in product(("XY", "XZ", "YZ"), repeat=len(non_out)):
                     labels = dict(zip(non_out, labs))
-                    yield LabeledOpenGraph(verts, edges, inputs, outputs, labels)
+                    yield open_graph(verts, edges, inputs, outputs, labels)
 
 
 def cancel_gates_reference(c: Circuit) -> Circuit:

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -50,6 +51,15 @@ def test_circuit_validation():
         Circuit(0)
     with pytest.raises(ValueError):
         Circuit(1, (Gate("H", (1,)),))
+
+
+def test_circuit_range_error_names_the_gate():
+    ok = (Gate("H", (0,)), Gate("CZ", (0, 1)))
+    for bad in (Gate("CX", (0, 2)), Gate("Rz", (-1,), Phase(1, 4))):
+        for gates in ((bad,), ok + (bad,), (bad,) + ok):
+            with pytest.raises(ValueError, match=re.escape(f"gate {bad} out of range for 2 qubits")):
+                Circuit(2, gates)
+    assert Circuit(2, ok).gates == ok
 
 
 def test_cancel_adjacent_self_inverse():

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -171,6 +172,18 @@ def test_extraction_mode_rejects_max_ctrl_below_two():
             synthesize(Circuit(3, (Gate("NCP", (0, 1, 2), Phase(1, 2)),)), "zx-with-insert", max_ctrl)
     for max_ctrl in (None, 2, 3):
         assert ExtractionMode("with-insert", max_ctrl=max_ctrl).max_ctrl == max_ctrl
+
+
+def test_extraction_mode_rejects_non_int_max_ctrl():
+    # 2.5 passed a bare `< 2` check, and with-insert then emitted a
+    # three-qubit NCP for an NCZ; "3" failed the comparison with a TypeError
+    ccz = Circuit(3, (Gate("NCZ", (0, 1, 2)),))
+    for max_ctrl in (2.5, 3.0, "3", True):
+        with pytest.raises(ValueError, match=re.escape(f"and an int, got {max_ctrl!r}")):
+            ExtractionMode("with-insert", max_ctrl=max_ctrl)
+        for pipeline in ("zx-with-insert", "no-decomp"):
+            with pytest.raises(ValueError, match="max_ctrl"):
+                synthesize(ccz, pipeline, max_ctrl)
 
 
 def test_extract_ncz3_as_single_ncp():

@@ -3,15 +3,19 @@ import itertools
 
 import pytest
 
-from helpers import all_small_open_graphs, brute_gflow_exists, qft_circuit, rand_open_graph
+from helpers import all_small_open_graphs, brute_gflow_exists, open_graph, qft_circuit, rand_corpus_circuit, rand_open_graph
 from zxna import Circuit, Gate, Phase, ZxDiagram, find_gflow, full_simplify, verify_gflow
-from zxna.gflow import GFlow, LabeledOpenGraph, extend_gflow_insertion, labeled_graph_of, odd_neighborhood
+from zxna.gflow import GFlow, extend_gflow_insertion, labeled_graph_of, odd_neighborhood
 from zxna.ingest import circuit_to_diagram, to_graph_like
 
 
 def _triangle():
-    edges = frozenset(frozenset(e) for e in [(0, 1), (1, 2), (0, 2)])
-    return LabeledOpenGraph((0, 1, 2), edges, (0,), (2,), {0: "XY", 1: "XY"})
+    return open_graph((0, 1, 2), [(0, 1), (1, 2), (0, 2)], (0,), (2,), {0: "XY", 1: "XY"})
+
+
+def _chain():
+    # input - mid - output line graph
+    return open_graph((0, 1, 2), [(0, 1), (1, 2)], (0,), (2,), {0: "XY", 1: "XY"})
 
 
 def test_odd_neighborhood_triangle():
@@ -30,9 +34,7 @@ def test_identity_diagram_has_trivial_gflow():
 
 
 def test_chain_gflow():
-    # input - mid - output line graph
-    edges = frozenset(frozenset(e) for e in [(0, 1), (1, 2)])
-    g = LabeledOpenGraph((0, 1, 2), edges, (0,), (2,), {0: "XY", 1: "XY"})
+    g = _chain()
     f = find_gflow(g)
     assert f is not None and verify_gflow(g, f)
     assert f.g[1] == frozenset({2})
@@ -41,13 +43,12 @@ def test_chain_gflow():
 
 def test_no_gflow_dead_end():
     # vertex with no path to an output cannot be corrected
-    g = LabeledOpenGraph((0, 1), frozenset(), (0,), (1,), {0: "XY"})
+    g = open_graph((0, 1), [], (0,), (1,), {0: "XY"})
     assert find_gflow(g) is None
 
 
 def test_verify_rejects_tampered_flow():
-    edges = frozenset(frozenset(e) for e in [(0, 1), (1, 2)])
-    g = LabeledOpenGraph((0, 1, 2), edges, (0,), (2,), {0: "XY", 1: "XY"})
+    g = _chain()
     f = find_gflow(g)
     bad = GFlow(dict(f.g), dict(f.order))
     bad.g[1] = frozenset()
@@ -72,6 +73,31 @@ def test_simplified_corpus_diagrams_have_gflow():
         assert f is not None and verify_gflow(g, f)
 
 
+def test_labeled_graph_of_matches_edge_reference():
+    # the diagram's edges between non-tops, roots labeled YZ, in spider order
+    circuits = [qft_circuit(n) for n in range(4, 17)] + [rand_corpus_circuit(seed) for seed in range(30)]
+    n_roots = 0
+    for c in circuits:
+        d = circuit_to_diagram(c)
+        to_graph_like(d)
+        full_simplify(d)
+        gadgets = d.find_gadgets()
+        tops = {g.top for g in gadgets}
+        roots = {g.root for g in gadgets}
+        verts = [v for v in d.spiders() if v not in tops]
+        edges = [(u, v) for u, v in d.edges() if u not in tops and v not in tops]
+        labels = {v: "YZ" if v in roots else "XY" for v in verts if v not in d.outputs}
+        ref = open_graph(verts, edges, d.inputs, d.outputs, labels)
+        g = labeled_graph_of(d)
+        assert g == ref and g.vertices == ref.vertices
+        n_roots += len(roots)
+        # the graph owns its sets: emptying the diagram leaves it as it was
+        for v in list(d.spiders()):
+            d.remove_spider(v)
+        assert g == ref
+    assert n_roots > 0
+
+
 def test_extend_gflow_insertion():
     d = circuit_to_diagram(Circuit(2, (Gate("CZ", (0, 1)),)))
     g = labeled_graph_of(d)
@@ -81,7 +107,7 @@ def test_extend_gflow_insertion():
     residual = d.add_gadget(d.outputs, Phase(-1, 8))
     for gadget in (kept, residual):
         g2 = labeled_graph_of(d)
-        f = extend_gflow_insertion(g2, f, gadget.root, set(gadget.legs))
+        f = extend_gflow_insertion(g2, f, gadget.root)
     g2 = labeled_graph_of(d)
     assert verify_gflow(g2, f)
     assert f.g[kept.root] == frozenset({kept.root})
@@ -91,11 +117,11 @@ def test_extend_gflow_insertion():
 
 
 def test_extend_requires_output_legs():
-    d = circuit_to_diagram(Circuit(2))
-    g = labeled_graph_of(d)
-    f = find_gflow(g)
-    with pytest.raises(ValueError):
-        extend_gflow_insertion(g, f, 99, {12345})
+    # the new YZ vertex 3 sits on the output 2 and on the non-output 1
+    f = find_gflow(_chain())
+    g = open_graph(range(4), [(0, 1), (1, 2), (1, 3), (2, 3)], (0,), (2,), {0: "XY", 1: "XY", 3: "YZ"})
+    with pytest.raises(ValueError, match="legs must all be outputs"):
+        extend_gflow_insertion(g, f, 3)
 
 
 def test_find_gflow_matches_brute_force_small():
