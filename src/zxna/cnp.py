@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import AbstractSet, Iterable, Iterator, Literal, Optional
+from typing import AbstractSet, Collection, Iterable, Iterator, Literal, Optional
 
 from .diagram import GadgetView, ZxDiagram
 from .phase import Phase
@@ -92,7 +92,7 @@ def add_cnp(d: ZxDiagram, anchors: Iterable[int], phi: Phase) -> None:
 
 
 def match_cnp(
-    gadgets: Iterable[GadgetView],
+    gadgets: Collection[GadgetView],
     frontier: set[int],
     mode: Literal["no-insert", "with-insert"],
     max_size: Optional[int] = None,
@@ -100,8 +100,8 @@ def match_cnp(
 ) -> Optional[MatchPlan]:
     """Find a C_nP structure among the gadgets attached only to the frontier.
 
-    ``gadgets`` come in ascending top id (the extractor's frontier index, or
-    :meth:`ZxDiagram.find_gadgets`); those off the frontier or with one leg are skipped.
+    ``gadgets`` come in ascending top id, each with two or more legs, all in
+    ``frontier``: the extractor's frontier index, or :meth:`ZxDiagram.frontier_gadgets`.
     Seeds are tried from the gadget with the most legs downwards (ties by
     smallest top id).  In ``no-insert`` mode a seed fails as soon as a
     required sub-gadget is missing; in ``with-insert`` mode the plan records
@@ -111,7 +111,6 @@ def match_cnp(
     earlier insertions there, otherwise their extraction and re-extension
     would chase each other forever.  Returns None if no seed works.
     """
-    gadgets = [g for g in gadgets if g.legs <= frontier and len(g.legs) >= 2]
     by_legs: dict[frozenset[int], GadgetView] = {}
     for g in gadgets:
         by_legs.setdefault(g.legs, g)

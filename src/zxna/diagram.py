@@ -91,9 +91,6 @@ class ZxDiagram:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._adj[u]
 
-    def neighbors(self, v: int) -> set[int]:
-        return set(self._adj[v])
-
     def adjacent(self, v: int) -> AbstractSet[int]:
         """v's own neighbour set, not a copy: read it before the next change, never write it."""
         return self._adj[v]
@@ -184,34 +181,28 @@ class ZxDiagram:
         """The input and output spiders."""
         return set(self.inputs) | set(self.outputs)
 
-    def _hung_on(self, top: int, boundary: set[int]) -> Optional[int]:
+    def _hung_on(self, top: int, boundary: AbstractSet[int]) -> Optional[int]:
         """The one neighbour of a degree-1 spider if neither is in ``boundary``, else None."""
         if len(self._adj[top]) != 1 or top in boundary:
             return None
         (root,) = self._adj[top]
         return None if root in boundary else root
 
-    def _gadget_root(self, top: int, boundary: set[int]) -> Optional[int]:
-        """The gadget test: ``top``'s root if it hangs on a phase-free spider with a leg."""
+    def gadget_root(self, top: int, boundary: AbstractSet[int]) -> Optional[int]:
+        """The gadget test: ``top``'s root if it is a gadget's top, else None.
+
+        ``boundary`` is :meth:`boundary`, read once by the scan that tests each spider.
+        """
         root = self._hung_on(top, boundary)
         if root is None or not self._phases[root].is_zero() or len(self._adj[root]) < 2:
             return None
         return root
 
-    def gadget_root(self, top: int, boundary: Optional[AbstractSet[int]] = None) -> Optional[int]:
-        """The root of the gadget whose top is ``top``; None if ``top`` is no gadget's top.
-
-        A scan that calls this per spider may pass :meth:`boundary`, read once.
-        """
-        if len(self._adj[top]) != 1:
-            return None
-        return self._gadget_root(top, self.boundary() if boundary is None else boundary)
-
     def find_gadgets(self) -> list[GadgetView]:
         """All phase gadgets, in ascending top id, i.e. in the order their tops were created."""
         out, boundary = [], self.boundary()
         for top in self.spiders():
-            root = self._gadget_root(top, boundary)
+            root = self.gadget_root(top, boundary)
             if root is not None:
                 out.append(GadgetView(top, root, frozenset(self._adj[root] - {top}), self._phases[top]))
         return out
@@ -228,7 +219,7 @@ class ZxDiagram:
             off = adj[root] - frontier
             if len(off) == 1 and len(adj[root]) >= 3:
                 (top,) = off
-                if self._gadget_root(top, boundary) == root:
+                if self.gadget_root(top, boundary) == root:
                     out.append(GadgetView(top, root, frozenset(adj[root] - off), self._phases[top]))
         out.sort(key=attrgetter("top"))
         return out
@@ -282,7 +273,7 @@ class ZxDiagram:
         d = cls()
         spiders = []
         for k, p in data["spiders"].items():
-            if not k.isdecimal():
+            if not (k.isascii() and k.isdecimal()):
                 raise ValueError(f"spider key {k!r} is not a spider number")
             if not (isinstance(p, list) and len(p) == 2 and all(type(x) is int for x in p)):
                 raise ValueError(f"spider {k} has phase {p!r}, not a pair of integers")

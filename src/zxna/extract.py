@@ -357,4 +357,6 @@ def extract_circuit(d: ZxDiagram, mode: ExtractionMode = ExtractionMode()) -> Ci
         raise ExtractionError("diagram not extractable: no gflow", d)
     if len(d.inputs) != len(d.outputs):
         raise ExtractionError(f"diagram not extractable: {len(d.inputs)} inputs but {len(d.outputs)} outputs", d)
+    if not d.outputs:  # the IR has no 0-qubit circuit
+        raise ExtractionError("diagram not extractable: no inputs and no outputs", d)
     return _Extractor(d, mode).run()

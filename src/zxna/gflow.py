@@ -109,7 +109,7 @@ def find_gflow(graph: LabeledOpenGraph) -> Optional[GFlow]:
             layer[v] = k
             corr[v] = s
         processed |= set(solved)
-    top = max(layer.values())
+    top = max(layer.values(), default=0)
     order = {v: top - l for v, l in layer.items()}
     return GFlow(corr, order)
 

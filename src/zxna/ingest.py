@@ -103,7 +103,7 @@ def _ingest_gate(b: _Builder, g: Gate) -> None:
 
 
 def to_graph_like(d: ZxDiagram) -> None:
-    """Normalize and validate the graph-like form of an ingested diagram.
+    """Validate the graph-like form of an ingested diagram.
 
     Diagrams built by :func:`circuit_to_diagram` fuse spiders eagerly, so
     this pass only has to verify the invariants (simple graph, boundary

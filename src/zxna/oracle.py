@@ -184,7 +184,7 @@ def diagram_tensor(d) -> np.ndarray:
         p = d.phase(v)
         if not p.is_zero():
             angle += p.to_float() * a_v
-        later = sum(1 << idx[w] for w in d.neighbors(v) if idx[w] > i)
+        later = sum(1 << idx[w] for w in d.adjacent(v) if idx[w] > i)
         if later:  # a_v times the number of later neighbours set to 1
             odd ^= np.bitwise_count(bits & later) & a_v
     amp = np.exp(1j * angle)

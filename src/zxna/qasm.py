@@ -58,12 +58,12 @@ class QasmError(ValueError):
 _TOKEN_RE = re.compile(
     r"""\s*(?://[^\n]*\s*)*
     ( [A-Za-z_][A-Za-z0-9_]* | ->|[{}()\[\],;+\-*/]
-    | \d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+ | \d+
+    | [0-9]+\.[0-9]*(?:[eE][+-]?[0-9]+)?|\.[0-9]+(?:[eE][+-]?[0-9]+)?|[0-9]+[eE][+-]?[0-9]+ | [0-9]+
     | "[^"]*" | . | \Z )""",
     re.VERBOSE | re.DOTALL,
 )
 _ID_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
-_ONE_CHAR_TOKEN = re.compile(r"[A-Za-z_{}()\[\],;+\-*/]|\d")
+_ONE_CHAR_TOKEN = re.compile(r"[A-Za-z_{}()\[\],;+\-*/0-9]")
 
 
 #: QASM name -> (IR kind, parameter count, qubit count).  Kind ``None`` drops

@@ -61,7 +61,7 @@ def lc_simp(d: ZxDiagram, v: int) -> bool:
     p = d.phase(v)
     if not p.is_proper_clifford():
         return False
-    nbrs = d.neighbors(v)
+    nbrs = set(d.adjacent(v))
     d.local_complement_graph(v)
     for w in nbrs:
         d.add_phase(w, -p)
@@ -80,8 +80,8 @@ def pivot_simp(d: ZxDiagram, u: int, v: int) -> bool:
     pu, pv = d.phase(u), d.phase(v)
     if not (pu.is_pauli() and pv.is_pauli()):
         return False
-    nu = d.neighbors(u) - {v}
-    nv = d.neighbors(v) - {u}
+    nu = d.adjacent(u) - {v}
+    nv = d.adjacent(v) - {u}
     common = nu & nv
     d.pivot_graph(u, v)
     for w in nu - common:
@@ -143,7 +143,7 @@ def id_simp(d: ZxDiagram, v: int) -> bool:
         raise ValueError("id_simp target must be interior")
     if not d.phase(v).is_zero() or d.degree(v) != 2:
         return False
-    a, b = sorted(d.neighbors(v))
+    a, b = sorted(d.adjacent(v))
     d.remove_spider(v)
     near = {a, *d.adjacent(b)}
     _fuse(d, a, b)
@@ -158,7 +158,7 @@ def _fuse(d: ZxDiagram, keep: int, merge: int) -> None:
         d.toggle_edge(keep, merge)
         d.add_phase(keep, Phase(1))
     d.add_phase(keep, d.phase(merge))
-    for w in sorted(d.neighbors(merge)):
+    for w in sorted(d.adjacent(merge)):
         d.toggle_edge(merge, w)
         d.toggle_edge(keep, w)
     d.remove_spider(merge)
@@ -237,7 +237,7 @@ def full_simplify(
         for v in sorted(d.spiders()):
             if not d.contains(v) or v in boundary or not d.phase(v).is_proper_clifford():
                 continue
-            root = d.gadget_root(v)
+            root = d.gadget_root(v, boundary)
             if root is not None:
                 # a Clifford gadget dissolves whole: removing only the top
                 # would turn its YZ root into an XY spider and lose gflow
@@ -254,14 +254,10 @@ def full_simplify(
         for u in sorted(d.spiders()):
             if not d.contains(u) or u in boundary or not d.phase(u).is_pauli():
                 continue
-            u_root = d.gadget_root(u)
             # a failed pivot changes nothing, so the neighbor snapshot stays valid
-            for v in sorted(d.neighbors(u)):
+            for v in sorted(d.adjacent(u)):
+                # a top's only neighbour is its root: pivoting a top removes its whole gadget
                 if v in boundary or not d.phase(v).is_pauli():
-                    continue
-                # gadget tops only pivot against their own root (removing the
-                # whole gadget); anything else converts measurement planes
-                if u_root not in (None, v) or d.gadget_root(v) not in (None, u):
                     continue
                 if pivot_simp(d, u, v):
                     did("pivot", (u, v))
@@ -279,7 +275,7 @@ def full_simplify(
                 continue
             if not d.phase(u).is_pauli():
                 continue
-            for v in sorted(d.neighbors(u)):
+            for v in sorted(d.adjacent(u)):
                 if v in boundary or v in parts:
                     continue
                 if d.phase(v).is_clifford() or d.degree(v) < 2:

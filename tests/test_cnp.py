@@ -88,7 +88,7 @@ def test_phase_accumulation():
 def test_match_exact_structure():
     d, anchors = _anchored(3)
     add_cnp(d, anchors, Phase(1))
-    plan = match_cnp(d.find_gadgets(), set(anchors), "no-insert")
+    plan = match_cnp(d.frontier_gadgets(set(anchors)), set(anchors), "no-insert")
     assert plan is not None
     assert plan.n == 3 and plan.phi == Phase(1)
     assert plan.required == theorem1_template(anchors, Phase(1)).required
@@ -102,10 +102,10 @@ def test_match_partial_structure():
     a, b, c = anchors
     d.add_gadget((a, b, c), Phase(1, 4))
     d.add_gadget((a, b), Phase(-1, 4))
-    no_ins = match_cnp(d.find_gadgets(), set(anchors), "no-insert")
+    no_ins = match_cnp(d.frontier_gadgets(set(anchors)), set(anchors), "no-insert")
     # the 3-anchor seed fails; the pair gadget still matches on its own
     assert no_ins is not None and no_ins.n == 2
-    plan = match_cnp(d.find_gadgets(), set(anchors), "with-insert")
+    plan = match_cnp(d.frontier_gadgets(set(anchors)), set(anchors), "with-insert")
     assert plan is not None and plan.n == 3
     assert plan.alpha == Phase(1, 4)
     assert sorted(tuple(sorted(l)) for l, _ in plan.insertions) == [
@@ -121,12 +121,12 @@ def test_match_upward_completion():
     seed_top = d.add_gadget((a, b), Phase(1, 8)).top
     d.add_gadget((a, c), Phase(1, 8))
     d.add_gadget((b, c), Phase(1, 8))
-    plan = match_cnp(d.find_gadgets(), set(anchors), "with-insert")
+    plan = match_cnp(d.frontier_gadgets(set(anchors)), set(anchors), "with-insert")
     assert plan is not None
     assert plan.target_set == tuple(sorted((a, b, c)))
     assert [set(l) for l, _ in plan.insertions] == [{a, b, c}]
     # the same seed stays a pair when its top is frozen
-    plan2 = match_cnp(d.find_gadgets(), set(anchors), "with-insert", no_extend=frozenset({seed_top}))
+    plan2 = match_cnp(d.frontier_gadgets(set(anchors)), set(anchors), "with-insert", no_extend=frozenset({seed_top}))
     assert plan2 is not None and plan2.n == 2
 
 
@@ -136,7 +136,7 @@ def test_match_respects_max_size():
     d.add_gadget((a, b), Phase(1, 8))
     d.add_gadget((a, c), Phase(1, 8))
     d.add_gadget((b, c), Phase(1, 8))
-    plan = match_cnp(d.find_gadgets(), set(anchors), "with-insert", max_size=2)
+    plan = match_cnp(d.frontier_gadgets(set(anchors)), set(anchors), "with-insert", max_size=2)
     assert plan is not None and plan.n == 2
 
 
@@ -144,13 +144,13 @@ def test_match_ignores_off_frontier_gadgets():
     d, anchors = _anchored(2)
     extra = d.add_spider()
     d.add_gadget((anchors[0], extra), Phase(1, 4))
-    assert match_cnp(d.find_gadgets(), set(anchors), "no-insert") is None
+    assert match_cnp(d.frontier_gadgets(set(anchors)), set(anchors), "no-insert") is None
 
 
 def test_match_requires_phase_difference_split():
     d, anchors = _anchored(2)
     a, b = anchors
     d.add_gadget((a, b), Phase(1, 8))
-    plan = match_cnp(d.find_gadgets(), {a, b}, "no-insert")
+    plan = match_cnp(d.frontier_gadgets({a, b}), {a, b}, "no-insert")
     assert plan is not None and plan.alpha == Phase(-1, 8)
     assert plan.phi == Phase(-1, 4)

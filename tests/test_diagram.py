@@ -65,11 +65,11 @@ def test_local_complement_star():
 def test_local_complement_involution_random():
     for seed in range(10):
         d, vs = _random_graph_diagram(seed)
-        ref = {v: d.neighbors(v) for v in vs}
+        ref = {v: set(d.adjacent(v)) for v in vs}
         for v in vs:
             d.local_complement_graph(v)
             d.local_complement_graph(v)
-        assert {v: d.neighbors(v) for v in vs} == ref
+        assert {v: set(d.adjacent(v)) for v in vs} == ref
 
 
 def test_pivot_equals_three_local_complementations():
@@ -80,12 +80,12 @@ def test_pivot_equals_three_local_complementations():
         if not edges:
             continue
         u, v = edges[seed % len(edges)]
-        adj = {w: d.neighbors(w) for w in vs}
+        adj = {w: set(d.adjacent(w)) for w in vs}
         _star(adj, u)
         _star(adj, v)
         _star(adj, u)
         d.pivot_graph(u, v)
-        assert {w: d.neighbors(w) for w in vs} == adj
+        assert {w: set(d.adjacent(w)) for w in vs} == adj
         tried += 1
     assert tried >= 20
 
@@ -131,10 +131,10 @@ def test_find_gadgets_excludes_malformed():
         top = d.add_spider(Phase(1, 4))
         d.toggle_edge(root, top)
         d.toggle_edge(root, o)
-        assert [(g.top, g.root) for g in d.find_gadgets()] == [(top, root)] and d.gadget_root(top) == root
+        assert [(g.top, g.root) for g in d.find_gadgets()] == [(top, root)] and d.gadget_root(top, d.boundary()) == root
         edit(d, o, root, top)
         assert d.find_gadgets() == [], what
-        assert [d.gadget_root(v) for v in d.spiders()] == [None] * 3, what
+        assert [d.gadget_root(v, d.boundary()) for v in d.spiders()] == [None] * 3, what
 
 
 def test_hanging_reads_only_near_spiders():
@@ -220,6 +220,8 @@ def test_from_json_rejects_malformed():
         r"spider 1 has phase \[1.5, 2\], not a pair of integers": lambda data: data["spiders"].update({"1": [1.5, 2]}),
         r"edge \[0\] is not a pair of spiders": lambda data: data["edges"].append([0]),
         "spider key 'x' is not a spider number": lambda data: data["spiders"].update({"x": [0, 1]}),
+        # DEVANAGARI DIGIT ZERO is a decimal digit but no spider number
+        "spider key '\u0966' is not a spider number": lambda data: data["spiders"].update({"\u0966": [0, 1]}),
         r"diagram keys \['spiders', 'inputs'\] hold the wrong JSON type": lambda data: data.update(spiders=[], inputs=5),
         r"inputs name unknown spiders \[\[0\]\]": lambda data: data["inputs"].append([0]),
         r"outputs Hadamard flags \['x'\] are not all booleans": lambda data: data.update(output_hadamard=["x"]),

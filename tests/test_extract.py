@@ -138,6 +138,15 @@ def test_extract_rejects_a_non_square_diagram():
     assert ZxDiagram.from_json(dump).to_json() == d.to_json()
 
 
+def test_extract_rejects_the_empty_diagram():
+    # the empty flow is a gflow, but the IR has no 0-qubit circuit
+    d = ZxDiagram()
+    assert find_gflow(labeled_graph_of(d)) is not None
+    with pytest.raises(ExtractionError, match="no inputs and no outputs") as info:
+        extract_circuit(d)
+    assert str(info.value).split("\ndiagram: ", 1)[1] == d.to_json()
+
+
 def test_extract_honours_input_hadamard():
     d = ZxDiagram(1, 1)
     i, o = d.add_spider(Phase(1, 4)), d.add_spider()
@@ -237,7 +246,7 @@ def test_execute_plan_preserves_tensor():
     d.add_gadget((a, b, c), Phase(1, 4))
     d.add_gadget((a, b), Phase(1, 8))
     ex = _Extractor(d, ExtractionMode("with-insert"))
-    ex.gadgets = {g.top: g for g in ex.d.find_gadgets()}
+    ex.gadgets = {g.top: g for g in ex.d.frontier_gadgets(set(ex.d.outputs))}
     plan = match_cnp(ex.gadgets.values(), set(ex.d.outputs), "with-insert")
     assert plan.n == 3 and len(plan.insertions) == 2 and len(plan.splits) == 1
     before = diagram_tensor(ex.d)
@@ -403,7 +412,7 @@ def test_extraction_runs_only_enabled_steps(monkeypatch):
         nonlocal after_ops, pulled, pulled_pivots
         d = self.d
         rows = [v for v in d.outputs if v not in self.ins or d.degree(v) > 0]
-        cols = sorted({w for v in rows for w in d.neighbors(v)} - set(d.outputs))
+        cols = sorted({w for v in rows for w in d.adjacent(v)} - set(d.outputs))
         m = [sum(1 << j for j, c in enumerate(cols) if d.has_edge(v, c)) for v in rows]
         assert row_reduce(m, len(cols))[1] == [], "YZ pivot before elimination"
         pivoted = yz_pivot_step(self)
@@ -456,8 +465,8 @@ def test_eliminate_writes_back_reduced_rows():
         d = ex.d
         frontier = set(d.outputs)
         rows = [q for q, v in enumerate(d.outputs) if v not in d.inputs or d.degree(v) > 0]
-        cols = sorted({w for q in rows for w in d.neighbors(d.outputs[q])} - frontier)
-        before = {v: d.neighbors(v) & frontier for v in d.outputs}
+        cols = sorted({w for q in rows for w in d.adjacent(d.outputs[q])} - frontier)
+        before = {v: d.adjacent(v) & frontier for v in d.outputs}
 
         def matrix():
             return [sum(1 << j for j, c in enumerate(cols) if d.has_edge(d.outputs[q], c)) for q in rows]
@@ -467,8 +476,8 @@ def test_eliminate_writes_back_reduced_rows():
         assert matrix() == rref, seed
         assert ex.rev == [Gate("CX", (rows[dst], rows[src])) for src, dst in ops]
         for v in d.outputs:
-            assert d.neighbors(v) <= set(cols) | frontier
-            assert d.neighbors(v) & frontier == before[v]
+            assert d.adjacent(v) <= set(cols) | frontier
+            assert d.adjacent(v) & frontier == before[v]
         total_ops += len(ops)
     assert total_ops > 0
 

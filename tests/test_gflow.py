@@ -59,6 +59,40 @@ def test_verify_rejects_tampered_flow():
     assert not verify_gflow(g, bad3)
 
 
+def test_verify_rejects_each_broken_condition():
+    # on the edge 0 - 1 with output 1, the correction sets {1}, {0, 1} and {0}
+    # are the XY, XZ and YZ flows of 0; each other set breaks only the plane
+    # condition, since its odd neighbourhood's other member is the output
+    order = {0: 0, 1: 1}
+    edge = {plane: open_graph((0, 1), [(0, 1)], (), (1,), {0: plane}) for plane in ("XY", "XZ", "YZ")}
+    for plane, good, bad in (
+        ("XY", {1}, [{0}, {0, 1}, set()]),
+        ("XZ", {0, 1}, [{1}, {0}, set()]),
+        ("YZ", {0}, [set(), {0, 1}, {1}]),  # missing from its set, in its odd neighbourhood, both
+    ):
+        g = edge[plane]
+        assert verify_gflow(g, find_gflow(g)) and find_gflow(g).g == {0: frozenset(good)}, plane
+        assert verify_gflow(g, GFlow({0: frozenset(good)}, order)), plane
+        for s in bad:
+            assert not verify_gflow(g, GFlow({0: frozenset(s)}, order)), (plane, s)
+    unknown = open_graph((0, 1), [(0, 1)], (), (1,), {0: "XX"})
+    for s in ({1}, {0, 1}, {0}, set()):
+        assert not verify_gflow(unknown, GFlow({0: frozenset(s)}, order)), s
+    # vertex 0 is an input and an output: correcting 1 through it matches
+    # the plane and the order, but an input is never measured to correct
+    g = open_graph((0, 1, 2), [(0, 1), (1, 2)], (0,), (0, 2), {1: "XY"})
+    order = {1: 0, 0: 1, 2: 1}
+    assert verify_gflow(g, GFlow({1: frozenset({2})}, order))
+    assert odd_neighborhood(g, {0}) == {1}
+    assert not verify_gflow(g, GFlow({1: frozenset({0})}, order))
+
+
+def test_empty_graph_has_the_empty_gflow():
+    g = open_graph((), [], (), (), {})
+    f = find_gflow(g)
+    assert f == GFlow({}, {}) and verify_gflow(g, f)
+
+
 def test_simplified_corpus_diagrams_have_gflow():
     from helpers import rand_corpus_circuit
     from zxna import full_simplify

@@ -218,6 +218,22 @@ def test_integer_too_long_for_int_is_a_qasm_error(text, pos):
     assert (e.value.line, e.value.col) == pos
 
 
+@pytest.mark.parametrize(
+    "text, pos",
+    [
+        ("qreg q[\u0663];", (2, 8)),  # ARABIC-INDIC DIGIT THREE
+        ("qreg q[1];\nrz(1.\u0665) q[0];", (3, 6)),  # ARABIC-INDIC DIGIT FIVE
+        ("qreg q[1];\nrz(\uff12) q[0];", (3, 4)),  # FULLWIDTH DIGIT TWO
+        ("qreg q[2];\nncp2(pi/\u0969) q[0], q[1];", (3, 9)),  # DEVANAGARI DIGIT THREE
+    ],
+    ids=["register-size", "fraction", "angle", "divisor"],
+)
+def test_only_ascii_digits_are_digits(text, pos):
+    # OpenQASM 2.0 numbers use 0-9 only; any other decimal digit starts no token
+    with pytest.raises(QasmError, match="unexpected character") as e:
+        parse_qasm("// a Unicode digit\n" + text)
+    assert (e.value.line, e.value.col) == pos
+
 
 @pytest.mark.parametrize("call", ["ncp0(pi) q[0], q[1];", "ncp1(pi) q[0], q[1];", "ncz0 q[0];", "ncz1 q[0], q[1];"])
 def test_ncp_name_below_two_qubits_is_unknown(call):

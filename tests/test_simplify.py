@@ -205,7 +205,7 @@ def test_full_simplify_postcondition():
         for v in d.spiders():
             if v in boundary or v in parts:
                 continue
-            if d.phase(v).is_pauli() and d.neighbors(v) <= boundary:
+            if d.phase(v).is_pauli() and d.adjacent(v) <= boundary:
                 continue
             assert not d.phase(v).is_clifford(), (seed, v, d.phase(v))
 
@@ -215,6 +215,19 @@ def test_full_simplify_records_trace():
     d = circuit_to_diagram(c)
     trace = full_simplify(d)
     assert isinstance(trace.to_json(), str)
+
+
+def test_full_simplify_drops_an_isolated_spider_first():
+    # an isolated pi/4 spider is a scalar factor; a pi one would zero the tensor
+    c = Circuit(2, (Gate("H", (0,)), Gate("T", (0,)), Gate("CZ", (0, 1)), Gate("H", (1,))))
+    d = circuit_to_diagram(c)
+    v = d.add_spider(Phase(1, 4))
+    before = diagram_tensor(d)
+    trace = full_simplify(d)
+    assert trace.steps[0]["rule"] == "scalar" and trace.steps[0]["spiders"] == [v]
+    assert not d.contains(v)
+    assert equal_up_to_scalar(diagram_tensor(d), before, 1e-9)
+    assert equal_up_to_scalar(diagram_tensor(d), circuit_unitary(c), 1e-9)
 
 
 def test_clifford_circuit_collapses():
