@@ -43,21 +43,24 @@ _EPS = 1e-12
 REASSIGN_PASSES = 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GR:
     """Global XY-rotation exp(-i theta/2 sum_i Y_i) on all qubits."""
 
     theta: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RzLayer:
-    """Parallel local Z-rotations, one angle per participating qubit."""
+    """Parallel local Z-rotations, one angle per participating qubit.
+
+    ``schedule`` may put one instance in several places, so ``angles`` is read-only.
+    """
 
     angles: dict[int, float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ncp:
     """Multi-controlled phase diag(1, ..., 1, e^{i phi}) on a qubit set."""
 
@@ -331,10 +334,11 @@ def _decompose(eulers: dict, num_qubits: int, mids: dict, corrs: dict) -> list[N
     ops: list[NativeOp] = []
     if pre:
         ops.append(RzLayer(pre))
-    ops.append(GR(half))
+    gr = GR(half)  # both half-pulses
+    ops.append(gr)
     if mid:
         ops.append(RzLayer(mid))
-    ops.append(GR(half))
+    ops.append(gr)
     if post:
         ops.append(RzLayer(post))
     return ops
@@ -378,16 +382,24 @@ def schedule(c: Circuit, config: TimeConfig = TimeConfig()) -> Schedule:
     matrices.  The Euler triple of each distinct chain is computed once,
     from the product ``layerize`` would build, and moves with its slot
     through the reassignment into the decomposition.  Chain triples,
-    middle-pulse angles and corrections are memoized for this one call.
+    middle-pulse angles, corrections and the ops of each distinct layer are
+    memoized for this one call: a layer is decomposed once, and its repeats
+    extend ``ops`` with the same op objects.
     """
     layers = _chain_layers(c)
     eulers = _chain_eulers(layers)
     _reassign(layers, eulers)
     mids: dict = {}
     corrs: dict = {}
+    done: dict = {}  # Euler content of a single-qubit layer -> its ops
     ops: list[NativeOp] = []
     for i, lay in enumerate(layers):
-        ops.extend(_decompose(eulers[i], c.num_qubits, mids, corrs) if i % 2 == 0 else lay)
+        if i % 2 == 0:
+            key = frozenset(eulers[i].items())
+            if key not in done:
+                done[key] = _decompose(eulers[i], c.num_qubits, mids, corrs)
+            lay = done[key]
+        ops.extend(lay)
     return Schedule(tuple(ops), execution_time(ops, config))
 
 

@@ -27,7 +27,7 @@ PHASE_GATE_ANGLES = {
     "Tdg": Phase(-1, 4),
 }
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     """A single gate: a kind, an ordered qubit tuple and an optional angle.
 
@@ -78,11 +78,16 @@ class Circuit:
     measurements: tuple[tuple[int, int], ...] = field(default=(), compare=False)
 
     def __post_init__(self):
-        if self.num_qubits < 1:
+        n = self.num_qubits
+        if type(n) is not int:
+            raise ValueError(f"circuit size {n!r} is not an int")
+        if n < 1:
             raise ValueError("circuit needs at least one qubit")
         object.__setattr__(self, "gates", tuple(self.gates))
-        n = self.num_qubits
         qs = [q for g in self.gates for q in g.qubits]
+        if not {*map(type, qs)} <= {int}:
+            bad = next(g for g in self.gates if any(type(q) is not int for q in g.qubits))
+            raise ValueError(f"gate {bad} has a qubit that is not an int")
         if qs and not 0 <= min(qs) <= max(qs) < n:
             bad = next(g for g in self.gates if not all(0 <= q < n for q in g.qubits))
             raise ValueError(f"gate {bad} out of range for {n} qubits")

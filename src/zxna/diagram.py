@@ -273,7 +273,7 @@ class ZxDiagram:
         d = cls()
         spiders = []
         for k, p in data["spiders"].items():
-            if not (k.isascii() and k.isdecimal()):
+            if not (k.isdecimal() and k == str(int(k))):  # one key per number
                 raise ValueError(f"spider key {k!r} is not a spider number")
             if not (isinstance(p, list) and len(p) == 2 and all(type(x) is int for x in p)):
                 raise ValueError(f"spider {k} has phase {p!r}, not a pair of integers")

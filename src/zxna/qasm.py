@@ -60,7 +60,7 @@ _TOKEN_RE = re.compile(
     ( [A-Za-z_][A-Za-z0-9_]* | ->|[{}()\[\],;+\-*/]
     | [0-9]+\.[0-9]*(?:[eE][+-]?[0-9]+)?|\.[0-9]+(?:[eE][+-]?[0-9]+)?|[0-9]+[eE][+-]?[0-9]+ | [0-9]+
     | "[^"]*" | . | \Z )""",
-    re.VERBOSE | re.DOTALL,
+    re.VERBOSE | re.DOTALL | re.ASCII,  # OpenQASM whitespace is ASCII only
 )
 _ID_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _ONE_CHAR_TOKEN = re.compile(r"[A-Za-z_{}()\[\],;+\-*/0-9]")

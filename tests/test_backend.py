@@ -325,6 +325,66 @@ def test_schedule_one_triple_per_distinct_chain(monkeypatch):
     assert ops == schedule(c).ops
 
 
+def _walls(n: int = 6, rounds: int = 40) -> Circuit:
+    """H then Rz(pi/4) on every qubit between CZ walls: repeated single-qubit layers."""
+    gates = []
+    for r in range(rounds):
+        gates += [Gate("H", (q,)) for q in range(n)]
+        gates += [Gate("Rz", (q,), Phase(1, 4)) for q in range(n)]
+        gates += [Gate("CZ", (q, q + 1)) for q in range(r % 2, n - 1, 2)]
+    return Circuit(n, tuple(gates))
+
+
+def test_schedule_decomposes_each_distinct_layer_once(monkeypatch):
+    c = _walls()
+    layers = backend._chain_layers(c)
+    eulers = backend._chain_eulers(layers)
+    _reassign(layers, eulers)
+    distinct = {frozenset(e.items()) for e in eulers[::2]}
+    assert len(eulers[::2]) > 10 * len(distinct)
+
+    made = []
+
+    def keeping_ops(eulers, num_qubits, mids, corrs):
+        made.append(_decompose(eulers, num_qubits, mids, corrs))
+        return made[-1]
+
+    monkeypatch.setattr(backend, "_decompose", keeping_ops)
+    for _ in range(3):  # once per call: no memo outlives it
+        made.clear()
+        ops = schedule(c).ops
+        assert len(made) == len(distinct)
+    # the repeats of a layer extend the ops with the objects of its one decomposition
+    single = [op for op in ops if not isinstance(op, Ncp)]
+    assert {id(op) for op in single} == {id(op) for got in made for op in got}
+    assert len(single) > 10 * len({id(op) for op in single})
+    monkeypatch.undo()
+
+    # the same schedule, bit for bit, as the public steps rebuild it without a memo
+    rebuilt = []
+    for i, lay in enumerate(greedy_assign(layerize(c))):
+        rebuilt.extend(transversal_decompose(lay, c.num_qubits) if i % 2 == 0 else lay)
+    assert ops == tuple(rebuilt)
+    assert schedule(c) == Schedule(tuple(rebuilt), execution_time(rebuilt))
+
+
+def test_layer_half_pulses_are_one_gr():
+    rng = random.Random(4)
+    for layer in ({0: gate_matrix(Gate("H", (0,)))}, {q: random_su2(rng) for q in (0, 2, 3)}):
+        ops = transversal_decompose(layer, 4)
+        first, second = [op for op in ops if type(op) is GR]
+        assert first is second
+    grs = [op for op in schedule(Circuit(1, (Gate("H", (0,)),))).ops if type(op) is GR]
+    assert len(grs) == 2 and grs[0] is grs[1]
+
+
+def test_native_ops_and_gates_have_no_instance_dict():
+    for obj in (GR(1.0), RzLayer({0: 1.0}), Ncp((0, 1), 1.0), Gate("H", (0,)), Gate("Rz", (0,), Phase(1, 4))):
+        assert not hasattr(obj, "__dict__")
+        with pytest.raises(AttributeError):
+            object.__setattr__(obj, "extra", 1)
+
+
 def test_execution_time_units():
     assert execution_time([GR(math.pi)]) == pytest.approx(100e-6)
     assert execution_time([Ncp((0, 1), math.pi)]) == pytest.approx(100e-9)

@@ -1,6 +1,7 @@
 import random
 import re
 
+import numpy as np
 import pytest
 
 from helpers import RICH_KINDS, cancel_gates_reference, rand_corpus_circuit, rand_rich_circuit
@@ -60,6 +61,17 @@ def test_circuit_range_error_names_the_gate():
             with pytest.raises(ValueError, match=re.escape(f"gate {bad} out of range for 2 qubits")):
                 Circuit(2, gates)
     assert Circuit(2, ok).gates == ok
+
+
+def test_circuit_qubits_are_ints():
+    # a float or bool qubit would be written as q[1.0] or read as qubit 1 far from here
+    for bad in (Gate("H", (1.0,)), Gate("CZ", (True, 0)), Gate("NCZ", (0, 1, np.int64(2)))):
+        for gates in ((bad,), (Gate("H", (0,)), bad)):
+            with pytest.raises(ValueError, match=re.escape(f"gate {bad} has a qubit that is not an int")):
+                Circuit(3, gates)
+    for size in (2.0, True, np.int64(2)):
+        with pytest.raises(ValueError, match=re.escape(f"circuit size {size!r} is not an int")):
+            Circuit(size)
 
 
 def test_cancel_adjacent_self_inverse():

@@ -222,6 +222,9 @@ def test_from_json_rejects_malformed():
         "spider key 'x' is not a spider number": lambda data: data["spiders"].update({"x": [0, 1]}),
         # DEVANAGARI DIGIT ZERO is a decimal digit but no spider number
         "spider key '\u0966' is not a spider number": lambda data: data["spiders"].update({"\u0966": [0, 1]}),
+        # "00" would name spider 0 a second time and overwrite its phase
+        "spider key '00' is not a spider number": lambda data: data["spiders"].update({"00": [1, 4]}),
+        "spider key '01' is not a spider number": lambda data: data["spiders"].update({"01": [0, 1]}),
         r"diagram keys \['spiders', 'inputs'\] hold the wrong JSON type": lambda data: data.update(spiders=[], inputs=5),
         r"inputs name unknown spiders \[\[0\]\]": lambda data: data["inputs"].append([0]),
         r"outputs Hadamard flags \['x'\] are not all booleans": lambda data: data.update(output_hadamard=["x"]),

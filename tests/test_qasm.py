@@ -235,6 +235,16 @@ def test_only_ascii_digits_are_digits(text, pos):
     assert (e.value.line, e.value.col) == pos
 
 
+@pytest.mark.parametrize("space", ["\u3000", "\u00a0", "\u2003", "\x85"],
+                         ids=["ideographic", "no-break", "em", "next-line"])
+def test_only_ascii_whitespace_separates(space):
+    # OpenQASM 2.0 whitespace is ASCII; any other space is a character of its own
+    with pytest.raises(QasmError, match="unexpected character") as e:
+        parse_qasm(f"OPENQASM 2.0;\nqreg q[1];{space}h q[0];")
+    assert (e.value.line, e.value.col) == (2, 11)
+    assert parse_qasm("OPENQASM 2.0;\nqreg q[1];\t\r\x0b\x0c h q[0];").gates == (Gate("H", (0,)),)
+
+
 @pytest.mark.parametrize("call", ["ncp0(pi) q[0], q[1];", "ncp1(pi) q[0], q[1];", "ncz0 q[0];", "ncz1 q[0], q[1];"])
 def test_ncp_name_below_two_qubits_is_unknown(call):
     # ncp<m>/ncz<m> with m < 2 names no gate, with or without an opaque declaration
