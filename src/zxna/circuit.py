@@ -49,6 +49,8 @@ class Gate:
                 raise ValueError(f"{self.kind} takes no angle")
         else:
             raise ValueError(f"unknown gate kind {self.kind!r}")
+        if type(self.qubits) is not tuple:
+            raise ValueError(f"{self.kind} qubits {self.qubits!r} are not a tuple")
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError(f"duplicate qubits in {self.kind}{self.qubits}")
         n = len(self.qubits)
@@ -91,6 +93,10 @@ class Circuit:
         if qs and not 0 <= min(qs) <= max(qs) < n:
             bad = next(g for g in self.gates if not all(0 <= q < n for q in g.qubits))
             raise ValueError(f"gate {bad} out of range for {n} qubits")
+        object.__setattr__(self, "measurements", tuple(self.measurements))
+        for m in self.measurements:
+            if type(m) is not tuple or [*map(type, m)] != [int, int] or not (0 <= m[0] < n and m[1] >= 0):
+                raise ValueError(f"measurement {m!r} is not a (qubit, bit) pair of ints for {n} qubits")
 
     def with_gates(self, gates: Iterable[Gate]) -> "Circuit":
         return Circuit(self.num_qubits, tuple(gates), self.measurements)

@@ -11,95 +11,60 @@ multi-controlled phases splice in their gadget structure directly.
 
 from __future__ import annotations
 
-from .circuit import PHASE_GATE_ANGLES, Circuit, Gate, lower_to_cz
+from .circuit import PHASE_GATE_ANGLES, Circuit, lower_to_cz
 from .cnp import add_cnp
 from .diagram import ZxDiagram
 from .phase import Phase
 
 __all__ = ["circuit_to_diagram", "to_graph_like"]
 
-
-class _Builder:
-    def __init__(self, n: int):
-        self.d = ZxDiagram(n, n)
-        self.cur: list[int] = []
-        self.pend_h: list[bool] = [False] * n
-        for _ in range(n):
-            v = self.d.add_spider(Phase(0))
-            self.d.inputs.append(v)
-            self.cur.append(v)
-
-    def anchor(self, q: int) -> int:
-        """Current wire-end spider of qubit q with no pending Hadamard."""
-        if self.pend_h[q]:
-            w = self.d.add_spider(Phase(0))
-            self.d.toggle_edge(self.cur[q], w)
-            self.cur[q] = w
-            self.pend_h[q] = False
-        return self.cur[q]
-
-    def h(self, q: int) -> None:
-        self.pend_h[q] = not self.pend_h[q]
-
-    def rz(self, q: int, p: Phase) -> None:
-        self.d.add_phase(self.anchor(q), p)
-
-    def rx(self, q: int, p: Phase) -> None:
-        self.h(q)
-        self.rz(q, p)
-        self.h(q)
-
-    def cz(self, a: int, b: int) -> None:
-        self.d.toggle_edge(self.anchor(a), self.anchor(b))
-
-    def ncp(self, qubits: tuple[int, ...], phi: Phase) -> None:
-        add_cnp(self.d, [self.anchor(q) for q in qubits], phi)
-
-    def finish(self) -> ZxDiagram:
-        for q, v in enumerate(self.cur):
-            self.d.outputs.append(v)
-            self.d.output_hadamard[q] = self.pend_h[q]
-        return self.d
+#: Wire phases of each one-qubit kind but H, in the order applied, as (basis,
+#: phase or None for the gate's angle): Y = iXZ, Ry(t) = Rz(pi/2)Rx(t)Rz(-pi/2).
+_WIRE_PHASES = {
+    "Rz": (("Z", None),),
+    "Rx": (("X", None),),
+    "X": (("X", Phase(1)),),
+    "Y": (("Z", Phase(1)), ("X", Phase(1))),
+    "Ry": (("Z", Phase(-1, 2)), ("X", None), ("Z", Phase(1, 2))),
+    **{k: (("Z", p),) for k, p in PHASE_GATE_ANGLES.items()},
+}
 
 
 def circuit_to_diagram(c: Circuit) -> ZxDiagram:
     """Translate a circuit into an equivalent graph-like ZX-diagram."""
-    b = _Builder(c.num_qubits)
+    n = c.num_qubits
+    d = ZxDiagram(n, n)
+    d.inputs.extend(d.add_spider(Phase(0)) for _ in range(n))
+    cur = list(d.inputs)
+    pend_h = [False] * n
+
+    def anchor(q: int) -> int:
+        """Current wire-end spider of qubit q with no pending Hadamard."""
+        if pend_h[q]:
+            w = d.add_spider(Phase(0))
+            d.toggle_edge(cur[q], w)
+            cur[q] = w
+            pend_h[q] = False
+        return cur[q]
+
     for g in lower_to_cz(c.gates):
-        _ingest_gate(b, g)
-    return b.finish()
-
-
-def _ingest_gate(b: _Builder, g: Gate) -> None:
-    k = g.kind
-    if k == "H":
-        b.h(g.qubits[0])
-    elif k == "Rz":
-        b.rz(g.qubits[0], g.angle)
-    elif k in PHASE_GATE_ANGLES:
-        b.rz(g.qubits[0], PHASE_GATE_ANGLES[k])
-    elif k == "Rx":
-        b.rx(g.qubits[0], g.angle)
-    elif k == "X":
-        b.rx(g.qubits[0], Phase(1))
-    elif k == "Y":
-        # Y = i X Z: Z first, then X (global phase is not tracked)
-        b.rz(g.qubits[0], Phase(1))
-        b.rx(g.qubits[0], Phase(1))
-    elif k == "Ry":
-        # Ry(t) = Rz(pi/2) Rx(t) Rz(-pi/2) as a matrix product
-        q = g.qubits[0]
-        b.rz(q, Phase(-1, 2))
-        b.rx(q, g.angle)
-        b.rz(q, Phase(1, 2))
-    elif k == "CZ":
-        b.cz(*g.qubits)
-    elif k == "NCP":
-        b.ncp(g.qubits, g.angle)
-    elif k == "NCZ":
-        b.ncp(g.qubits, Phase(1))
-    else:
-        raise ValueError(f"cannot ingest gate kind {k!r}")
+        k, qs = g.kind, g.qubits
+        if k == "H":
+            pend_h[qs[0]] ^= True
+        elif k == "CZ":
+            d.toggle_edge(anchor(qs[0]), anchor(qs[1]))
+        elif k in ("NCP", "NCZ"):
+            add_cnp(d, [anchor(q) for q in qs], g.angle or Phase(1))
+        elif k in _WIRE_PHASES:
+            for basis, p in _WIRE_PHASES[k]:  # an X phase sits between two Hadamard toggles
+                pend_h[qs[0]] ^= basis == "X"
+                d.add_phase(anchor(qs[0]), p or g.angle)
+                pend_h[qs[0]] ^= basis == "X"
+        else:
+            raise ValueError(f"cannot ingest gate kind {k!r}")
+    d.outputs.extend(cur)
+    d.output_hadamard[:] = pend_h
+    return d
 
 
 def to_graph_like(d: ZxDiagram) -> None:

@@ -28,8 +28,9 @@ def synthesize(
 ) -> Circuit:
     """Resynthesize a circuit with the chosen scheme, cancellation included.
 
-    ``no-decomp`` keeps the input's controlled gates whole, so it raises
-    ValueError for one wider than ``max_ctrl`` instead of honouring the cap.
+    The result keeps the input's final measurements. ``no-decomp`` keeps
+    the input's controlled gates whole, so it raises ValueError for one
+    wider than ``max_ctrl`` instead of honouring the cap.
     """
     if pipeline not in PIPELINES:
         raise ValueError(f"unknown pipeline {pipeline!r}")
@@ -44,7 +45,7 @@ def synthesize(
     d = circuit_to_diagram(c)
     to_graph_like(d)
     full_simplify(d)
-    return cancel_gates(extract_circuit(d, mode))
+    return c.with_gates(cancel_gates(extract_circuit(d, mode)).gates)
 
 
 def run_pipeline(

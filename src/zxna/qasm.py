@@ -99,12 +99,13 @@ class _Parser:
         self.end = self.toks.index("")  # the token that reads as the end of input
         self.env: dict[str, _Val] = {}  # gate parameter values while expanding a definition
         self.qregs: dict[str, tuple[int, int]] = {}  # name -> (first qubit, size)
-        self.cregs: dict[str, tuple[int, int]] = {}  # name -> (0, size): bits count per register
+        self.cregs: dict[str, tuple[int, int]] = {}  # name -> (first bit, size)
         self.defs: dict[str, tuple] = {}  # name -> (param names, arg names, body)
         self.opaque: set[str] = set()
         self.gates: list[Gate] = []
         self.measures: list[tuple[int, int]] = []
         self.num_qubits = 0
+        self.num_bits = 0
         self.calls = 0  # gate calls so far, at every level of definitions
         self.call_at = 0  # the top-level gate call being expanded
 
@@ -225,8 +226,9 @@ class _Parser:
                 raise self.error(f"duplicate {name} {reg!r}", at)
             if name == "qreg" and self.num_qubits + n > MAX_QUBITS:
                 raise self.error(f"more than {MAX_QUBITS} qubits declared", at)
-            regs[reg] = (self.num_qubits if name == "qreg" else 0, n)
+            regs[reg] = (self.num_qubits if name == "qreg" else self.num_bits, n)
             self.num_qubits += n if name == "qreg" else 0
+            self.num_bits += n if name == "creg" else 0
         elif name == "barrier":
             self.skip_statement()
         elif name == "gate":

@@ -74,6 +74,24 @@ def test_circuit_qubits_are_ints():
             Circuit(size)
 
 
+def test_gate_qubits_are_a_tuple():
+    # a list of qubits would make the gate unhashable and unequal to its tuple twin
+    for qubits in ([0], range(1), (q for q in (0,))):
+        with pytest.raises(ValueError, match="are not a tuple"):
+            Gate("H", qubits)
+    assert hash(Gate("CZ", (0, 1))) == hash(Gate("CZ", (0, 1)))
+
+
+def test_circuit_checks_measurements():
+    # an out-of-range pair would be written as measure q[5] -> c[0], which the reader rejects
+    for bad in ((5, 0), (2, 0), (-1, 0), (0, -1), (0,), (0, 1, 2), [0, 0], (0, 1.0), (True, 0), 0):
+        with pytest.raises(ValueError, match="is not a \\(qubit, bit\\) pair"):
+            Circuit(2, (), (bad,))
+    c = Circuit(2, (), [(1, 0), (0, 3)])
+    assert c.measurements == ((1, 0), (0, 3))
+    assert c.with_gates([Gate("H", (0,))]).measurements == ((1, 0), (0, 3))
+
+
 def test_cancel_adjacent_self_inverse():
     c = Circuit(1, (Gate("H", (0,)), Gate("H", (0,))))
     assert cancel_gates(c).gates == ()

@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from helpers import rand_rich_circuit
+from helpers import qft_circuit, rand_rich_circuit
 from zxna import Circuit, Gate, Phase, circuit_unitary, diagram_tensor, equal_up_to_scalar
 from zxna.ingest import circuit_to_diagram, to_graph_like
 
@@ -77,3 +79,13 @@ def test_unknown_gate_rejected():
     object.__setattr__(c, "gates", (g,))
     with pytest.raises(ValueError):
         circuit_to_diagram(c)
+
+
+def test_ingest_digest():
+    # Spider ids, edges and phases of ingest over every gate kind (X, Y, Ry,
+    # Z, Sdg, Tdg, Swap and NCZ of arity 4 included): a refactor of ingest
+    # must leave this digest as it is
+    h = hashlib.sha256()
+    for c in [rand_rich_circuit(seed) for seed in range(200)] + [qft_circuit(n) for n in range(4, 17)]:
+        h.update(circuit_to_diagram(c).to_json().encode())
+    assert h.hexdigest() == "0902d5ae760691ea91655e45838a43839de410b000b25ca0f2029beceebf6351"

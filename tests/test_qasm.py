@@ -389,6 +389,17 @@ def test_roundtrip_measurements():
     assert back.measurements == c.measurements
 
 
+def test_cregs_get_distinct_bits():
+    # bits are numbered across registers in declaration order, so two cregs never share c[0]
+    c = parse_qasm("qreg q[3]; creg a[1]; creg b[2]; measure q[0] -> a[0]; measure q[1] -> b[0];"
+                   " measure q[2] -> b[1];")
+    assert c.measurements == ((0, 0), (1, 1), (2, 2))
+    assert parse_qasm(write_qasm(c)).measurements == c.measurements
+    assert parse_qasm("qreg q[2]; creg a[1]; creg b[2]; measure q -> b;").measurements == ((0, 1), (1, 2))
+    with pytest.raises(QasmError, match="index 1 out of range for 'a'"):
+        parse_qasm("qreg q[2]; creg a[1]; creg b[2]; measure q[0] -> a[1];")
+
+
 _DIGEST_PROGRAMS = [
     """OPENQASM 2.0;
 include "qelib1.inc";
