@@ -198,50 +198,44 @@ def _chain_matrix(chain: list, mats: dict) -> np.ndarray:
 def layerize(c: Circuit) -> list:
     """Alternating [1q-dict, ncp-list, 1q-dict, ...] layers of a circuit.
 
-    Single-qubit layers map each active qubit to the 2x2 product of its
-    consecutive single-qubit gates; multi-qubit layers hold Ncp ops in
-    execution order.  Gates are packed as early as the qubit frontiers
-    allow.
+    Single-qubit layers map each active qubit to the Euler triple
+    (beta, theta, alpha) of the product of its consecutive single-qubit
+    gates, from ``zyz_angles``; multi-qubit layers hold Ncp ops in execution
+    order.  Gates are packed as early as the qubit frontiers allow.  The
+    triple of each distinct chain is computed once per call.
     """
-    layers = _chain_layers(c)
-    mats: dict = {}
-    return [{q: _chain_matrix(ch, mats) for q, ch in lay.items()} if i % 2 == 0 else lay
-            for i, lay in enumerate(layers)]
-
-
-def _euler_layers(layers: list) -> list:
-    """Euler triple of every unitary of the single-qubit layers; None for the others."""
-    return [{q: zyz_angles(u) for q, u in lay.items()} if i % 2 == 0 else None
-            for i, lay in enumerate(layers)]
-
-
-def _chain_eulers(layers: list) -> list:
-    """``_euler_layers`` of chain layers, one ``zyz_angles`` per distinct chain."""
     mats: dict = {}
     triples: dict = {}
 
     def triple(chain: list) -> tuple[float, float, float]:
         key = tuple(chain)
-        t = triples.get(key)
-        if t is None:
-            t = triples[key] = zyz_angles(_chain_matrix(chain, mats))
-        return t
+        if key not in triples:
+            triples[key] = zyz_angles(_chain_matrix(chain, mats))
+        return triples[key]
 
-    return [{q: triple(ch) for q, ch in lay.items()} if i % 2 == 0 else None
-            for i, lay in enumerate(layers)]
+    return [{q: triple(ch) for q, ch in lay.items()} if i % 2 == 0 else lay
+            for i, lay in enumerate(_chain_layers(c))]
 
 
-def _reassign(layers: list, eulers: list) -> None:
-    """Core of ``greedy_assign``: every move carries a slot and its triple together."""
+def greedy_assign(layers: list) -> list:
+    """Reassign movable single-qubit slots of ``layerize``'s layers in place.
+
+    A slot's triple may move to an empty slot of another single-qubit layer
+    if no multi-qubit gate (and no other gate of its qubit) lies in between.
+    A move is taken only when it strictly decreases the summed theta_max, so
+    the total is monotonically non-increasing and the circuit unitary is
+    unchanged.
+    """
     # qubits of each multi-qubit layer; moves touch only the single-qubit layers
     busy = [None if i % 2 == 0 else {q for op in lay for q in op.qubits}
             for i, lay in enumerate(layers)]
     # theta_max of each single-qubit layer, kept up to date across moves
-    tmax = [None if e is None else max((t for _, t, _ in e.values()), default=0.0) for e in eulers]
+    tmax = [None if i % 2 else max((t for _, t, _ in lay.values()), default=0.0)
+            for i, lay in enumerate(layers)]
     for _ in range(REASSIGN_PASSES):
         moved = False
         for i in range(0, len(layers), 2):
-            lay = eulers[i]
+            lay = layers[i]
             for q in sorted(lay):
                 tq = lay[q][1]
                 if tq < tmax[i]:
@@ -258,38 +252,23 @@ def _reassign(layers: list, eulers: list) -> None:
                 for step in (-2, 2):
                     j = i + step
                     # stop at the odd layer crossed if q is busy there, or at q's own next slot
-                    while 0 <= j < len(layers) and q not in busy[j - step // 2] and q not in eulers[j]:
+                    while 0 <= j < len(layers) and q not in busy[j - step // 2] and q not in layers[j]:
                         tj = tmax[j]
                         delta = (others - tq) + (max(tj, tq) - tj)
                         if delta < best_delta:
                             best_j, best_delta = j, delta
                         j += step
                 if best_j is not None:
-                    layers[best_j][q] = layers[i].pop(q)
-                    eulers[best_j][q] = lay.pop(q)
+                    layers[best_j][q] = lay.pop(q)
                     tmax[i], tmax[best_j] = others, max(tmax[best_j], tq)
                     moved = True
         if not moved:
             break
-
-
-def greedy_assign(layers: list) -> list:
-    """Reassign movable single-qubit unitaries to cheaper layers in place.
-
-    A unitary may move to an empty slot of another single-qubit layer if no
-    multi-qubit gate (and no other gate of its qubit) lies in between.  A
-    move is taken only when it strictly decreases the summed theta_max, so
-    the total is monotonically non-increasing and the circuit unitary is
-    unchanged.  This computes the Euler triples of ``layers`` itself and
-    drops them afterwards; ``schedule`` computes them once and keeps them
-    for the decomposition.
-    """
-    _reassign(layers, _euler_layers(layers))
     return layers
 
 
 def _decompose(eulers: dict, num_qubits: int, mids: dict, corrs: dict) -> list[NativeOp]:
-    """Core of ``transversal_decompose`` on the layer's Euler triples.
+    """Core of ``transversal_decompose``, with its memos passed in.
 
     ``mids`` memoizes the outer Euler angles (nu, mu) of each middle pulse
     Ry(half) Rz(b) Ry(half) on (half, b), and ``corrs`` each qubit's
@@ -347,15 +326,16 @@ def _decompose(eulers: dict, num_qubits: int, mids: dict, corrs: dict) -> list[N
 def transversal_decompose(layer: dict, num_qubits: int) -> list[NativeOp]:
     """Two global half-pulses with local Z-corrections realizing a 1q layer.
 
-    With per-qubit Euler angles (beta, theta, alpha) and the layer maximum
-    theta_max, each qubit gets Rz(c) GR(theta_max/2) Rz(b) GR(theta_max/2)
-    Rz(a) where sin(theta/2) = sin(theta_max/2) cos(b/2); qubits without a
-    gate take b = pi so the two half-pulses cancel.  If theta_max is zero
-    the layer collapses to a single Rz layer.  This computes the Euler
-    triples of ``layer`` itself; ``schedule`` passes in the triples it
-    computed once per unitary.
+    ``layer`` maps qubits in ``range(num_qubits)`` to Euler triples
+    (beta, theta, alpha), as ``layerize`` gives them.  With the layer
+    maximum theta_max, each qubit gets Rz(c) GR(theta_max/2) Rz(b)
+    GR(theta_max/2) Rz(a) where sin(theta/2) = sin(theta_max/2) cos(b/2);
+    qubits without a gate take b = pi so the two half-pulses cancel.  If
+    theta_max is zero the layer collapses to a single Rz layer.
     """
-    return _decompose({q: zyz_angles(u) for q, u in layer.items()}, num_qubits, {}, {})
+    if not all(q in range(num_qubits) for q in layer):
+        raise ValueError(f"layer qubits {list(layer)} lie outside range({num_qubits})")
+    return _decompose(layer, num_qubits, {}, {})
 
 
 def execution_time(ops, config: TimeConfig = TimeConfig()) -> float:
@@ -377,27 +357,21 @@ def execution_time(ops, config: TimeConfig = TimeConfig()) -> float:
 def schedule(c: Circuit, config: TimeConfig = TimeConfig()) -> Schedule:
     """Full lowering: layerize, reassign, decompose, and time the circuit.
 
-    The same steps as ``layerize``, ``greedy_assign`` and
-    ``transversal_decompose``, but the layers hold chains of gate keys, not
-    matrices.  The Euler triple of each distinct chain is computed once,
-    from the product ``layerize`` would build, and moves with its slot
-    through the reassignment into the decomposition.  Chain triples,
-    middle-pulse angles, corrections and the ops of each distinct layer are
-    memoized for this one call: a layer is decomposed once, and its repeats
-    extend ``ops`` with the same op objects.
+    ``greedy_assign(layerize(c))``, then ``transversal_decompose`` of each
+    single-qubit layer, with middle-pulse angles, corrections and the ops of
+    each distinct layer memoized for this one call: a layer is decomposed
+    once, and its repeats extend ``ops`` with the same op objects.
     """
-    layers = _chain_layers(c)
-    eulers = _chain_eulers(layers)
-    _reassign(layers, eulers)
+    layers = greedy_assign(layerize(c))
     mids: dict = {}
     corrs: dict = {}
-    done: dict = {}  # Euler content of a single-qubit layer -> its ops
+    done: dict = {}  # content of a single-qubit layer -> its ops
     ops: list[NativeOp] = []
     for i, lay in enumerate(layers):
         if i % 2 == 0:
-            key = frozenset(eulers[i].items())
+            key = frozenset(lay.items())
             if key not in done:
-                done[key] = _decompose(eulers[i], c.num_qubits, mids, corrs)
+                done[key] = _decompose(lay, c.num_qubits, mids, corrs)
             lay = done[key]
         ops.extend(lay)
     return Schedule(tuple(ops), execution_time(ops, config))

@@ -159,6 +159,15 @@ class _Parser:
             names.append(self.expect_id())
         return names
 
+    def distinct_ids(self, what: str) -> list[str]:
+        """``id_list`` whose names all differ, else an error at the first repeat."""
+        start, names, seen = self.pos, self.id_list(), set()
+        for k, n in enumerate(names):
+            if n in seen:
+                raise self.error(f"repeated {what} {n!r}", start + 2 * k)
+            seen.add(n)
+        return names
+
     def paren_groups(self) -> list[tuple[int, int]]:
         """Spans ``(start, end)`` of a parenthesised, comma-separated list, ``end`` at its delimiter."""
         if not self.accept("(") or self.accept(")"):
@@ -214,6 +223,8 @@ class _Parser:
         name = self.toks[at]
         if name == "include":
             self.next()
+            if self.toks[self.pos][:1] != '"':
+                raise self.expected("string literal")
             self.next()
             self.expect(";")
         elif name in ("qreg", "creg"):
@@ -276,9 +287,9 @@ class _Parser:
         name = self.expect_id()
         params = []
         if self.accept("(") and not self.accept(")"):
-            params = self.id_list()
+            params = self.distinct_ids("parameter")
             self.expect(")")
-        args = self.id_list()
+        args = self.distinct_ids("argument")
         self.expect("{")
         body = []
         while not self.accept("}"):

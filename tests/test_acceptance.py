@@ -190,7 +190,7 @@ def test_criterion_5_transversal_layers(capsys):
     for trial in range(1000):
         n = rng.randint(1, 10)
         layer = {q: random_su2(rng) for q in range(n) if rng.random() < 0.6}
-        ops = transversal_decompose(layer, n)
+        ops = transversal_decompose({q: zyz_angles(u) for q, u in layer.items()}, n)
         # per-qubit product of the global and local pulses
         us = {q: np.eye(2, dtype=complex) for q in range(n)}
         for op in ops:
@@ -216,14 +216,14 @@ def test_criterion_5_transversal_layers(capsys):
         # greedy reassignment never increases the total first Euler angle
         def total(ls):
             return sum(
-                max((zyz_angles(u)[1] for u in lay.values()), default=0.0)
+                max((t for _, t, _ in lay.values()), default=0.0)
                 for lay in ls[::2]
             )
 
         k = rng.randint(1, 3)
         seq = []
         for i in range(k):
-            seq.append({q: random_su2(rng) for q in range(n) if rng.random() < 0.5})
+            seq.append({q: zyz_angles(random_su2(rng)) for q in range(n) if rng.random() < 0.5})
             if i < k - 1:
                 mid = []
                 if n >= 2:

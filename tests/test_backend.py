@@ -13,9 +13,7 @@ from zxna.backend import (
     Ncp,
     RzLayer,
     _decompose,
-    _euler_layers,
     _norm_angle,
-    _reassign,
     _ry,
     _rz,
     execution_time,
@@ -70,7 +68,7 @@ def test_layerize_merges_consecutive_1q():
     layers = layerize(c)
     assert len(layers) == 1
     ref = gate_matrix(Gate("S", (0,))) @ gate_matrix(Gate("H", (0,)))
-    assert np.allclose(layers[0][0], ref)
+    assert layers[0] == {0: zyz_angles(ref)}
 
 
 def test_layerize_cx_lowering():
@@ -90,8 +88,7 @@ def test_layerize_cx_lowering():
 
 
 def test_transversal_single_ry_layer():
-    layer = {0: ry_matrix(math.pi / 2)}
-    ops = transversal_decompose(layer, 2)
+    ops = transversal_decompose({0: zyz_angles(ry_matrix(math.pi / 2))}, 2)
     grs = [op for op in ops if isinstance(op, GR)]
     assert len(grs) == 2 and all(op.theta == pytest.approx(math.pi / 4) for op in grs)
     # the idle qubit gets the cancelling b = pi correction
@@ -103,14 +100,13 @@ def test_transversal_single_ry_layer():
 
 
 def test_transversal_rz_only_layer():
-    layer = {0: rz_matrix(0.3), 1: rz_matrix(-0.7)}
-    ops = transversal_decompose(layer, 2)
+    ops = transversal_decompose({0: zyz_angles(rz_matrix(0.3)), 1: zyz_angles(rz_matrix(-0.7))}, 2)
     assert len(ops) == 1 and isinstance(ops[0], RzLayer)
     assert ops[0].angles == {0: pytest.approx(0.3), 1: pytest.approx(-0.7)}
 
 
 def test_transversal_hadamard():
-    ops = transversal_decompose({0: gate_matrix(Gate("H", (0,)))}, 1)
+    ops = transversal_decompose({0: zyz_angles(gate_matrix(Gate("H", (0,))))}, 1)
     grs = [op for op in ops if isinstance(op, GR)]
     assert sum(op.theta for op in grs) == pytest.approx(math.pi / 2)
     assert equal_up_to_scalar(native_unitary(ops, 1), gate_matrix(Gate("H", (0,))), 1e-9)
@@ -121,7 +117,7 @@ def test_transversal_random_layers():
     for _ in range(100):
         n = rng.randint(1, 4)
         layer = {q: random_su2(rng) for q in range(n) if rng.random() < 0.7}
-        ops = transversal_decompose(layer, n)
+        ops = transversal_decompose({q: zyz_angles(m) for q, m in layer.items()}, n)
         u = native_unitary(ops, n)
         ref = np.eye(1 << n, dtype=complex)
         for q, m in layer.items():
@@ -138,7 +134,7 @@ def test_transversal_middle_angles_lie_in_zero_to_pi():
         n = rng.randint(1, 4)
         layer = {q: rng.choice(exact) if rng.random() < 0.3 else random_su2(rng)
                  for q in range(n) if rng.random() < 0.7}
-        ops = transversal_decompose(layer, n)
+        ops = transversal_decompose({q: zyz_angles(m) for q, m in layer.items()}, n)
         for first, mid, second in zip(ops, ops[1:], ops[2:]):
             if isinstance(first, GR) and isinstance(second, GR):
                 angles += mid.angles.values()
@@ -147,25 +143,33 @@ def test_transversal_middle_angles_lie_in_zero_to_pi():
 
 
 def test_greedy_assign_monotone_and_sound():
-    rng = random.Random(31)
+    def total(ls):
+        return sum(max((t for _, t, _ in lay.values()), default=0.0) for lay in ls[::2])
+
     for seed in range(25):
         c = rand_rich_circuit(seed, max_qubits=4, max_gates=20)
         layers = layerize(c)
-        def total(ls):
-            s = 0.0
-            for i in range(0, len(ls), 2):
-                s += max((zyz_angles(u)[1] for u in ls[i].values()), default=0.0)
-            return s
         before = total(layers)
         out = greedy_assign(layers)
         assert total(out) <= before + 1e-9
         sched = schedule(c)
         assert equal_up_to_scalar(native_unitary(sched.ops, c.num_qubits), circuit_unitary(c), 1e-8)
+    moved = 0
+    for seed in range(60):
+        c = rand_rich_circuit(seed)
+        layers = layerize(c)
+        out = greedy_assign(layerize(c))
+        moved += [set(lay) for lay in out[::2]] != [set(lay) for lay in layers[::2]]
+        # a move carries a slot's triple: the slots and the multi-qubit layers stay as they were
+        assert sorted((q, t) for lay in out[::2] for q, t in lay.items()) == \
+            sorted((q, t) for lay in layers[::2] for q, t in lay.items())
+        assert out[1::2] == layers[1::2]
+    assert moved > 0  # the corpus exercises the moves
 
 
 def test_schedule_equals_public_steps_exactly():
-    # schedule() reuses one Euler triple per unitary and a per-call memo;
-    # the public functions recompute everything, and the ops must match bit for bit
+    # schedule() runs the public steps with a per-call memo of each distinct
+    # layer's decomposition; without the memo the ops must match bit for bit
     for seed in range(60):
         c = rand_rich_circuit(seed)
         layers = greedy_assign(layerize(c))
@@ -175,40 +179,28 @@ def test_schedule_equals_public_steps_exactly():
         assert schedule(c).ops == tuple(ops)
 
 
-def test_reassign_moves_each_triple_with_its_unitary():
-    moved = 0
-    for seed in range(60):
-        c = rand_rich_circuit(seed)
-        layers = layerize(c)
-        eulers = _euler_layers(layers)
-        _reassign(layers, eulers)
-        moved += [set(lay) for lay in layers[::2]] != [set(lay) for lay in layerize(c)[::2]]
-        for i, lay in enumerate(layers):
-            if i % 2 == 0:
-                assert eulers[i] == {q: zyz_angles(u) for q, u in lay.items()}
-            else:
-                assert eulers[i] is None
-    assert moved > 0  # the corpus exercises the moves
-
-
 def test_schedule_digest():
-    # schedule JSON and the bytes of every layer unitary on rich circuits,
-    # which lower Swap, Rx, Ry, X, Y and T and leave zero-theta layers; a
-    # change meant to be performance-only must leave this digest as it is
+    # schedule JSON on rich circuits, which lower Swap, Rx, Ry, X, Y and T and
+    # leave zero-theta layers; a change meant to be performance-only must
+    # leave this digest as it is
+    h = hashlib.sha256()
+    for seed in range(300):
+        h.update(schedule(rand_rich_circuit(seed)).to_json().encode())
+    assert h.hexdigest() == "b56a23c9b0e8fb0d2700b442d76c4c961af7e8451caafab30d1a10edce8db782"
+
+
+def test_layerize_digest():
+    # every layer of layerize on the same corpus: the Euler triples of the
+    # single-qubit slots (repr round-trips a float exactly) and the Ncp lists
     h = hashlib.sha256()
     zero_theta = 0
     for seed in range(300):
-        c = rand_rich_circuit(seed)
-        h.update(schedule(c).to_json().encode())
-        for i, lay in enumerate(layerize(c)):
-            if i % 2:
-                h.update(repr(lay).encode())
-                continue
-            for q, u in sorted(lay.items()):
-                h.update(b"%d:" % q + u.tobytes())
-            zero_theta += max((zyz_angles(u)[1] for u in lay.values()), default=1.0) < 1e-12
+        for i, lay in enumerate(layerize(rand_rich_circuit(seed))):
+            h.update(repr(lay if i % 2 else sorted(lay.items())).encode())
+            if i % 2 == 0:
+                zero_theta += max((t for _, t, _ in lay.values()), default=1.0) < 1e-12
     assert zero_theta > 0
-    assert h.hexdigest() == "aa3390765db4857e27b375ad80c8b6ff8fb6d9ba16bb3612abfe1130474262f5"
+    assert h.hexdigest() == "392232ba9c9886002cf5ac4b911d83e4817657f4dbf6482b493381424516e6a2"
 
 
 def _norm_angle_reference(x: float) -> float:
@@ -266,9 +258,10 @@ def test_middle_pulse_memo_matches_recomputation(monkeypatch):
     mids: dict = {}
     corrs: dict = {}
     for layer in layers:
-        got = _decompose({q: zyz_angles(u) for q, u in layer.items()}, 7, mids, corrs)
+        eulers = {q: zyz_angles(u) for q, u in layer.items()}
+        got = _decompose(eulers, 7, mids, corrs)
         assert got == _decompose_reference(layer, 7)
-        assert got == transversal_decompose(layer, 7)
+        assert got == transversal_decompose(eulers, 7)
     # one entry per distinct (half, b): b = 0, pi and two smaller-theta b values
     assert len({half for half, _ in mids}) == 2 and len(mids) == 6
 
@@ -337,11 +330,9 @@ def _walls(n: int = 6, rounds: int = 40) -> Circuit:
 
 def test_schedule_decomposes_each_distinct_layer_once(monkeypatch):
     c = _walls()
-    layers = backend._chain_layers(c)
-    eulers = backend._chain_eulers(layers)
-    _reassign(layers, eulers)
-    distinct = {frozenset(e.items()) for e in eulers[::2]}
-    assert len(eulers[::2]) > 10 * len(distinct)
+    layers = greedy_assign(layerize(c))
+    distinct = {frozenset(lay.items()) for lay in layers[::2]}
+    assert len(layers[::2]) > 10 * len(distinct)
 
     made = []
 
@@ -371,11 +362,20 @@ def test_schedule_decomposes_each_distinct_layer_once(monkeypatch):
 def test_layer_half_pulses_are_one_gr():
     rng = random.Random(4)
     for layer in ({0: gate_matrix(Gate("H", (0,)))}, {q: random_su2(rng) for q in (0, 2, 3)}):
-        ops = transversal_decompose(layer, 4)
+        ops = transversal_decompose({q: zyz_angles(u) for q, u in layer.items()}, 4)
         first, second = [op for op in ops if type(op) is GR]
         assert first is second
     grs = [op for op in schedule(Circuit(1, (Gate("H", (0,)),))).ops if type(op) is GR]
     assert len(grs) == 2 and grs[0] is grs[1]
+
+
+def test_transversal_rejects_qubit_out_of_range():
+    h = zyz_angles(gate_matrix(Gate("H", (0,))))
+    for layer in ({3: h}, {0: h, 2: h}, {-1: h}):
+        with pytest.raises(ValueError, match="outside range\\(2\\)"):
+            transversal_decompose(layer, 2)
+    ops = transversal_decompose({1: h}, 2)
+    assert equal_up_to_scalar(native_unitary(ops, 2), np.kron(gate_matrix(Gate("H", (0,))), np.eye(2)), 1e-9)
 
 
 def test_native_ops_and_gates_have_no_instance_dict():

@@ -311,6 +311,31 @@ def test_gate_body_calls_later_gate():
     assert (e.value.line, e.value.col) == (1, 23)
 
 
+@pytest.mark.parametrize(
+    "text, msg, col",
+    [
+        ("qreg q[2]; gate g x,x { h x; } g q[0],q[1];", "repeated argument 'x'", 21),
+        ("qreg q[1]; gate g(a,a) x { rz(a) x; } g(1,2) q[0];", "repeated parameter 'a'", 21),
+        ("qreg q[3]; gate g(a, b, a) x, y { rz(a) x; }", "repeated parameter 'a'", 25),
+        ("qreg q[3]; gate g x, y, z, y { h x; }", "repeated argument 'y'", 28),
+    ],
+    ids=["arguments", "parameters", "third-parameter", "fourth-argument"],
+)
+def test_gate_definition_repeats_a_name(text, msg, col):
+    # a repeated name would bind one qubit twice or shadow an earlier parameter
+    with pytest.raises(QasmError, match=msg) as e:
+        parse_qasm(text)
+    assert (e.value.line, e.value.col) == (1, col)
+
+
+@pytest.mark.parametrize("name, col", [("5", 9), ("foo", 9), (";", 9), ("pi", 9)])
+def test_include_names_a_string(name, col):
+    with pytest.raises(QasmError, match=f"expected string literal, found '{name}'") as e:
+        parse_qasm(f"include {name}; qreg q[1]; h q[0];")
+    assert (e.value.line, e.value.col) == (1, col)
+    assert parse_qasm('include "qelib1.inc"; qreg q[1]; h q[0];').gates == (Gate("H", (0,)),)
+
+
 def _gate_chain(depth):
     defs = "".join(f"gate g{i} a {{ g{i - 1} a; }}\n" for i in range(1, depth))
     return f"qreg q[1];\ngate g0 a {{ h a; }}\n{defs}g{depth - 1} q[0];"
