@@ -143,40 +143,6 @@ def _to_ncp(g: Gate) -> Ncp:
     return Ncp(g.qubits, math.pi)  # CZ / NCZ
 
 
-def _chain_layers(c: Circuit) -> list:
-    """``layerize``'s layers with each single-qubit slot as its chain.
-
-    A chain lists the keys ``(kind, numerator, denominator)`` of the slot's
-    consecutive single-qubit gates in execution order; a gate without an
-    angle has numerator 0 and denominator 1.  CX and Swap are read as
-    H·CZ·H from :func:`~zxna.circuit.lower_to_cz`, so every other gate is
-    either single-qubit or a CZ/NCZ/NCP.
-    """
-    layers: list = [dict()]
-    avail = [0] * c.num_qubits
-
-    def layer_at(i):
-        while len(layers) <= i:
-            layers.append([] if len(layers) % 2 == 1 else dict())
-        return layers[i]
-
-    for g in lower_to_cz(c.gates):
-        if len(g.qubits) == 1:
-            q, p = g.qubits[0], g.angle
-            i = avail[q] if avail[q] % 2 == 0 else avail[q] + 1
-            layer_at(i).setdefault(q, []).append((g.kind, 0, 1) if p is None else (g.kind, p.numerator, p.denominator))
-            avail[q] = i
-        else:
-            i = max(a if a % 2 == 1 else a + 1 for a in (avail[q] for q in g.qubits))
-            layer_at(i).append(_to_ncp(g))
-            for q in g.qubits:
-                avail[q] = i + 1
-
-    while layers and not layers[-1]:
-        layers.pop()
-    return layers
-
-
 def _chain_matrix(chain: list, mats: dict) -> np.ndarray:
     """Product of a chain's gate matrices, later gates on the left.
 
@@ -201,20 +167,36 @@ def layerize(c: Circuit) -> list:
     Single-qubit layers map each active qubit to the Euler triple
     (beta, theta, alpha) of the product of its consecutive single-qubit
     gates, from ``zyz_angles``; multi-qubit layers hold Ncp ops in execution
-    order.  Gates are packed as early as the qubit frontiers allow.  The
-    triple of each distinct chain is computed once per call.
+    order.  CX and Swap are read as H·CZ·H from
+    :func:`~zxna.circuit.lower_to_cz`.  Gates are packed as early as the
+    qubit frontiers allow.  A slot is first its chain, the keys
+    ``(kind, numerator, denominator)`` of its gates in execution order (0
+    and 1 for no angle); the triple of each distinct chain is computed
+    once per call.
     """
+    layers: list = []
+    nxt = [0] * c.num_qubits  # each qubit's next single-qubit layer, always even
+    for g in lower_to_cz(c.gates):
+        qs = g.qubits
+        i = nxt[qs[0]] if len(qs) == 1 else 1 + max(nxt[q] for q in qs)
+        while len(layers) <= i:
+            layers.append([] if len(layers) % 2 else {})
+        if len(qs) == 1:
+            p = g.angle
+            layers[i].setdefault(qs[0], []).append((g.kind, 0, 1) if p is None else (g.kind, p.numerator, p.denominator))
+        else:
+            layers[i].append(_to_ncp(g))
+            for q in qs:
+                nxt[q] = i + 1
     mats: dict = {}
     triples: dict = {}
-
-    def triple(chain: list) -> tuple[float, float, float]:
-        key = tuple(chain)
-        if key not in triples:
-            triples[key] = zyz_angles(_chain_matrix(chain, mats))
-        return triples[key]
-
-    return [{q: triple(ch) for q, ch in lay.items()} if i % 2 == 0 else lay
-            for i, lay in enumerate(_chain_layers(c))]
+    for lay in layers[::2]:
+        for q, chain in lay.items():
+            key = tuple(chain)
+            if key not in triples:
+                triples[key] = zyz_angles(_chain_matrix(chain, mats))
+            lay[q] = triples[key]
+    return layers
 
 
 def greedy_assign(layers: list) -> list:

@@ -146,34 +146,11 @@ class ZxDiagram:
             self.toggle_edge(a, b)
 
     def pivot_graph(self, u: int, v: int) -> None:
-        """The pure graph pivot on an edge: equals three local complementations.
-
-        Implemented as the complete-bipartite toggle among the exclusive
-        neighborhoods of u and v and their common neighborhood, plus swapping
-        the roles of u and v in the edge set.
-        """
+        """The pure graph pivot on an edge, G ∧ uv = G * u * v * u (Duncan et al., Quantum 4, 279)."""
         if v not in self._adj[u]:
             raise ValueError("pivot requires adjacent spiders")
-        nu = self._adj[u] - {v}
-        nv = self._adj[v] - {u}
-        common = nu & nv
-        only_u = nu - common
-        only_v = nv - common
-        for a in only_u:
-            for b in only_v:
-                self.toggle_edge(a, b)
-            for b in common:
-                self.toggle_edge(a, b)
-        for a in only_v:
-            for b in common:
-                self.toggle_edge(a, b)
-        # u and v swap neighborhoods (G * u * v * u exchanges the pair)
-        for a in only_u:
-            self.toggle_edge(u, a)
-            self.toggle_edge(v, a)
-        for b in only_v:
-            self.toggle_edge(u, b)
-            self.toggle_edge(v, b)
+        for w in (u, v, u):
+            self.local_complement_graph(w)
 
     # -- gadgets ------------------------------------------------------------
 

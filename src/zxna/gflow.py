@@ -90,10 +90,14 @@ def find_gflow(graph: LabeledOpenGraph) -> Optional[GFlow]:
     Layer 0 holds the outputs; each subsequent layer holds every remaining
     vertex whose correction set can be solved over the already-layered,
     non-input vertices.  Levels are flipped at the end so that lower level
-    means measured earlier.
+    means measured earlier.  Raises ValueError if a non-output vertex lacks
+    an XY, XZ or YZ label.
     """
     vertices = list(graph.vertices)
     outs = set(graph.outputs)
+    for v in vertices:
+        if v not in outs and graph.labels.get(v) not in ("XY", "XZ", "YZ"):
+            raise ValueError(f"vertex {v} has plane label {graph.labels.get(v)!r}, not XY, XZ or YZ")
     ins = set(graph.inputs)
     layer = {v: 0 for v in outs}
     processed = set(outs)
@@ -150,7 +154,7 @@ def _solve_layer(
 
 
 def verify_gflow(graph: LabeledOpenGraph, f: GFlow) -> bool:
-    """Check all five gflow conditions for every non-output vertex."""
+    """Check all five gflow conditions for every non-output vertex; a bad plane label fails."""
     outs = set(graph.outputs)
     ins = set(graph.inputs)
     order = f.order
@@ -166,7 +170,7 @@ def verify_gflow(graph: LabeledOpenGraph, f: GFlow) -> bool:
         for w in s | odd:
             if w != v and not order[v] < order.get(w, -1):
                 return False
-        lab = graph.labels[v]
+        lab = graph.labels.get(v)
         if lab == "XY":
             if v in s or v not in odd:
                 return False

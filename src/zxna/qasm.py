@@ -6,10 +6,11 @@ there; the writer's names are its inverse.  Besides the table the reader
 knows the multi-controlled phase family ``ncp<m>``/``ncz<m>``/``mcp``/
 ``mcphase``, which round-trips through opaque declarations (a name's digits
 fix its qubit count), and user gate definitions, expanded at call sites.  A
-gate body may call only built-ins, that family and gates defined before it.
-The reader also handles qreg/creg declarations, ``include``, ``barrier``
-(ignored) and trailing measurements (stripped to metadata).  Gate calls on
-bare registers broadcast in the usual way.
+definition takes a name none of these holds, and its body may call only
+built-ins, that family and gates defined before it.  The reader also
+handles qreg/creg declarations, ``include``, ``barrier`` (ignored) and
+trailing measurements (stripped to metadata).  Gate calls on bare
+registers broadcast in the usual way.
 
 The text is read as one token stream: one ``findall`` gives the token
 strings and a final ``""`` for the end of input.  The parser walks that list
@@ -282,14 +283,20 @@ class _Parser:
 
     # -- gate definitions --------------------------------------------------
 
-    def gate_def(self) -> None:
+    def gate_header(self) -> tuple[str, list[str], list[str]]:
+        """Name, parameter names and argument names of a ``gate`` or ``opaque`` declaration."""
         self.next()
-        name = self.expect_id()
-        params = []
+        name, params = self.expect_id(), []
         if self.accept("(") and not self.accept(")"):
             params = self.distinct_ids("parameter")
             self.expect(")")
-        args = self.distinct_ids("argument")
+        return name, params, self.distinct_ids("argument")
+
+    def gate_def(self) -> None:
+        at = self.pos + 1
+        name, params, args = self.gate_header()
+        if name in _GATES or name in self.defs or self.ncp_spec(name, 0, at) is not None:
+            raise self.error(f"gate {name!r} is already defined", at)
         self.expect("{")
         body = []
         while not self.accept("}"):
@@ -312,10 +319,7 @@ class _Parser:
 
     def opaque_def(self) -> None:
         at = self.pos + 1
-        self.next()
-        name = self.expect_id()
-        self.paren_groups()
-        self.id_list()
+        name = self.gate_header()[0]
         self.expect(";")
         if _NCP_NAME.match(name) is None:
             raise self.error(f"unsupported opaque gate {name!r}", at)

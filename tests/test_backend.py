@@ -285,7 +285,7 @@ def test_middle_pulse_memo_matches_recomputation(monkeypatch):
 
 def test_schedule_one_triple_per_distinct_chain(monkeypatch):
     # walls of H then Rz(pi/4) on every qubit between CZ walls: 202 slots
-    # that hold two distinct chains
+    # that hold two distinct triples, and never more triples than chains
     n = 6
     gates = []
     for r in range(40):
@@ -293,9 +293,9 @@ def test_schedule_one_triple_per_distinct_chain(monkeypatch):
         gates += [Gate("Rz", (q,), Phase(1, 4)) for q in range(n)]
         gates += [Gate("CZ", (q, q + 1)) for q in range(r % 2, n - 1, 2)]
     c = Circuit(n, tuple(gates))
-    layers = backend._chain_layers(c)
-    chains = {tuple(ch) for lay in layers[::2] for ch in lay.values()}
-    assert sum(map(len, layers[::2])) == 202 and len(chains) == 2
+    layers = layerize(c)
+    distinct = {t for lay in layers[::2] for t in lay.values()}
+    assert sum(map(len, layers[::2])) == 202 and len(distinct) == 2
 
     calls = []
 
@@ -313,7 +313,7 @@ def test_schedule_one_triple_per_distinct_chain(monkeypatch):
     monkeypatch.setattr(backend, "_decompose", keeping_mids)
     ops = schedule(c).ops
     (mids,) = memos.values()  # one middle-pulse memo per call
-    assert len(calls) <= len(chains) + len(mids)
+    assert len(calls) <= len(distinct) + len(mids)
     monkeypatch.undo()
     assert ops == schedule(c).ops
 

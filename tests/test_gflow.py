@@ -87,6 +87,18 @@ def test_verify_rejects_each_broken_condition():
     assert not verify_gflow(g, GFlow({1: frozenset({0})}, order))
 
 
+@pytest.mark.parametrize("labels", [{0: "AB"}, {0: "xy"}, {}], ids=["unknown", "lower-case", "missing"])
+def test_plane_labels_are_checked(labels):
+    # on the edge 0 - 1 with output 1, each set is some plane's flow, so no other label may pick one
+    g = open_graph((0, 1), [(0, 1)], (), (1,), labels)
+    with pytest.raises(ValueError, match=f"vertex 0 has plane label {labels.get(0)!r}, not XY, XZ or YZ"):
+        find_gflow(g)
+    for s in ({1}, {0, 1}, {0}, set()):
+        assert not verify_gflow(g, GFlow({0: frozenset(s)}, {0: 0, 1: 1})), s
+    # an output needs no label
+    assert find_gflow(open_graph((0, 1), [(0, 1)], (), (0, 1), {})) == GFlow({}, {0: 0, 1: 0})
+
+
 def test_empty_graph_has_the_empty_gflow():
     g = open_graph((), [], (), (), {})
     f = find_gflow(g)

@@ -318,14 +318,33 @@ def test_gate_body_calls_later_gate():
         ("qreg q[1]; gate g(a,a) x { rz(a) x; } g(1,2) q[0];", "repeated parameter 'a'", 21),
         ("qreg q[3]; gate g(a, b, a) x, y { rz(a) x; }", "repeated parameter 'a'", 25),
         ("qreg q[3]; gate g x, y, z, y { h x; }", "repeated argument 'y'", 28),
+        ("qreg q[3]; opaque ncp3(t, t) a, b, c; ncp3(pi/2) q[0], q[1], q[2];", "repeated parameter 't'", 27),
+        ("qreg q[3]; opaque ncp3(t) a, a, b; ncp3(pi/2) q[0], q[1], q[2];", "repeated argument 'a'", 30),
     ],
-    ids=["arguments", "parameters", "third-parameter", "fourth-argument"],
+    ids=["arguments", "parameters", "third-parameter", "fourth-argument", "opaque-parameters", "opaque-arguments"],
 )
 def test_gate_definition_repeats_a_name(text, msg, col):
     # a repeated name would bind one qubit twice or shadow an earlier parameter
     with pytest.raises(QasmError, match=msg) as e:
         parse_qasm(text)
     assert (e.value.line, e.value.col) == (1, col)
+
+
+@pytest.mark.parametrize(
+    "text, name, pos",
+    [
+        ("qreg q[1]; gate h a { x a; } h q[0];", "h", (1, 17)),
+        ("qreg q[2]; gate ncp2(t) a, b { h a; } ncp2(pi) q[0], q[1];", "ncp2", (1, 17)),
+        ("qreg q[2]; opaque mcp(t) a, b;\ngate mcp(t) a, b { h a; }", "mcp", (2, 6)),
+        ("qreg q[1];\ngate g a { h a; }\ngate g a { x a; }\ng q[0];", "g", (3, 6)),
+    ],
+    ids=["built-in", "ncp-family", "opaque", "earlier-definition"],
+)
+def test_gate_definition_reuses_a_name(text, name, pos):
+    # else the built-in, the ncp family or the first definition would win silently
+    with pytest.raises(QasmError, match=f"gate '{name}' is already defined") as e:
+        parse_qasm(text)
+    assert (e.value.line, e.value.col) == pos
 
 
 @pytest.mark.parametrize("name, col", [("5", 9), ("foo", 9), (";", 9), ("pi", 9)])
@@ -497,4 +516,4 @@ def test_error_digest():
             outcomes += 1
             h.update(out.encode() + b"\n")
     assert (outcomes, errors) == (4392, 3695)
-    assert h.hexdigest() == "4b21ab44dcbc84465f7ffbbb836db264e78ea6ad23cca00f584b0b9d6b010891"
+    assert h.hexdigest() == "87db38da6095e452e7de3498efdfc77501d50f928970be462259bd41d3adcac8"
