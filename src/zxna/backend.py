@@ -140,7 +140,7 @@ def _ry(t: float) -> np.ndarray:
 def _to_ncp(g: Gate) -> Ncp:
     if g.kind == "NCP":
         return Ncp(g.qubits, g.angle.to_float())
-    return Ncp(g.qubits, math.pi)  # CZ / NCZ
+    return Ncp(g.qubits, math.pi)  # CZ
 
 
 def _chain_matrix(chain: list, mats: dict) -> np.ndarray:

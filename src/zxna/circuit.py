@@ -10,13 +10,13 @@ from .phase import Phase
 __all__ = ["Gate", "Circuit", "cancel_gates", "lower_to_cz", "to_ncz_baseline"]
 
 #: Gate kinds without a parameter.
-FIXED_KINDS = {"H", "X", "Y", "Z", "S", "Sdg", "T", "Tdg", "CX", "CZ", "Swap", "NCZ"}
+FIXED_KINDS = {"H", "X", "Y", "Z", "S", "Sdg", "T", "Tdg", "CX", "CZ", "Swap"}
 #: Gate kinds carrying a Phase angle.
 ANGLE_KINDS = {"Rx", "Ry", "Rz", "NCP"}
 
 SINGLE_QUBIT_KINDS = {"H", "X", "Y", "Z", "S", "Sdg", "T", "Tdg", "Rx", "Ry", "Rz"}
 
-SELF_INVERSE_KINDS = {"H", "X", "Y", "Z", "CX", "CZ", "Swap", "NCZ"}
+SELF_INVERSE_KINDS = {"H", "X", "Y", "Z", "CX", "CZ", "Swap"}
 
 #: Diagonal-in-Z gates that merge by angle addition (kind -> implied Rz angle).
 PHASE_GATE_ANGLES = {
@@ -32,8 +32,8 @@ class Gate:
     """A single gate: a kind, an ordered qubit tuple and an optional angle.
 
     ``NCP(qubits, phi)`` is the fully symmetric multi-controlled phase gate
-    ``diag(1, ..., 1, e^{i*phi})`` on its qubit set; ``NCZ`` is ``NCP`` at
-    ``phi = pi``.
+    ``diag(1, ..., 1, e^{i*phi})`` on its qubit set, and the only
+    multi-controlled Z: C^kZ is ``NCP`` at ``phi = pi``.
     """
 
     kind: str
@@ -58,7 +58,7 @@ class Gate:
             raise ValueError(f"{self.kind} acts on one qubit")
         if self.kind in ("CX", "CZ", "Swap") and n != 2:
             raise ValueError(f"{self.kind} acts on two qubits")
-        if self.kind in ("NCP", "NCZ") and n < 2:
+        if self.kind == "NCP" and n < 2:
             raise ValueError(f"{self.kind} needs at least two qubits")
 
     def __repr__(self) -> str:
@@ -108,9 +108,9 @@ class Circuit:
 def _qubit_key(g: Gate):
     """Qubit identity used for cancellation matching.
 
-    NCP/NCZ are symmetric so their qubit order is irrelevant; CX is not.
+    NCP is symmetric so its qubit order is irrelevant; CX is not.
     """
-    if g.kind in ("NCP", "NCZ", "CZ", "Swap"):
+    if g.kind in ("NCP", "CZ", "Swap"):
         return (g.kind, frozenset(g.qubits))
     return (g.kind, g.qubits)
 
@@ -133,11 +133,7 @@ def _merge(a: Gate, b: Gate) -> Optional[list[Gate]]:
     if pa is not None and pb is not None and a.qubits == b.qubits:
         s = pa + pb
         return [] if s.is_zero() else [Gate("Rz", a.qubits, s)]
-    kinds = {"NCP", "NCZ"}
-    if a.kind in kinds and b.kind in kinds and frozenset(a.qubits) == frozenset(b.qubits):
-        s = (a.angle or Phase(1)) + (b.angle or Phase(1))
-        return [] if s.is_zero() else [Gate("NCP", a.qubits, s)]
-    if a.kind == b.kind and a.kind in ("Rx", "Ry") and a.qubits == b.qubits:
+    if a.kind in ANGLE_KINDS and _qubit_key(a) == _qubit_key(b):
         s = a.angle + b.angle
         return [] if s.is_zero() else [Gate(a.kind, a.qubits, s)]
     return None
@@ -147,11 +143,12 @@ def cancel_gates(c: Circuit) -> Circuit:
     """Basic peephole cancellation.
 
     Removes adjacent self-inverse pairs, merges adjacent phase gates (and
-    NCP gates on identical qubit sets), commuting candidates past gates on
-    disjoint qubits.  One pass reaches the fixpoint: a gate is removed or
-    replaced only on top of its qubits' stacks, so nothing under a kept gate
-    changes later, and a replacement merges only where the gate it replaces
-    could (phase gates become ``Rz``, NCP/NCZ ``NCP``, Rx/Ry keep their
+    Rx, Ry or NCP gates of one kind on one qubit set) by adding angles,
+    commuting candidates past gates on disjoint qubits, and drops angle
+    gates whose angle is zero.  One pass reaches the fixpoint: a gate is
+    removed or replaced only on top of its qubits' stacks, so nothing under
+    a kept gate changes later, and a replacement merges only where the gate
+    it replaces could (phase gates become ``Rz``, the others keep their
     kind).
     """
     out: list[Optional[Gate]] = []  # None marks a gate removed by a merge
@@ -178,7 +175,7 @@ def cancel_gates(c: Circuit) -> Circuit:
                     for q in g.qubits:
                         stacks[q].pop()
                 continue
-        if g.kind in ("Rz", "Rx", "Ry", "NCP") and g.angle.is_zero():
+        if g.kind in ANGLE_KINDS and g.angle.is_zero():
             continue
         for q in g.qubits:
             stacks[q].append(len(out))
@@ -205,10 +202,10 @@ def lower_to_cz(gates: Iterable[Gate]) -> Iterator[Gate]:
 
 
 def to_ncz_baseline(c: Circuit) -> Circuit:
-    """Rewrite all controlled gates into their C_nZ / C_nP equivalents.
+    """Rewrite all controlled gates as multi-controlled phases.
 
-    CX and Swap go through :func:`lower_to_cz`, and each CZ becomes NCZ on
-    two qubits.  The result contains only single-qubit gates and NCZ/NCP
-    gates.
+    CX and Swap go through :func:`lower_to_cz`, and each CZ becomes
+    ``NCP(pi)`` on its two qubits.  The result contains only single-qubit
+    gates and NCP gates.
     """
-    return c.with_gates(Gate("NCZ", g.qubits) if g.kind == "CZ" else g for g in lower_to_cz(c.gates))
+    return c.with_gates(Gate("NCP", g.qubits, Phase(1)) if g.kind == "CZ" else g for g in lower_to_cz(c.gates))

@@ -3,18 +3,16 @@
 Theorem 1: an n-qubit controlled phase ``NCP(phi)`` equals its n anchor
 spiders each carrying ``alpha = phi / 2^(n-1)`` plus, on every anchor subset
 of size k >= 2, a phase gadget with phase ``(-1)^(k+1) * alpha``.
-:class:`MatchPlan` is that structure on a tuple of anchors; it is built by
-:func:`theorem1_template`, spliced into a diagram by :func:`add_cnp` and
-found on a frontier by :func:`match_cnp`.  A match may need a gadget's phase
-split (the NCP takes the required phase, a gadget on the same legs keeps the
-rest) or, in ``with-insert`` mode, a missing gadget inserted (the NCP takes
-the required phase, a gadget with the opposite phase stays behind).  The
-combinatorial oracles cross-check the construction.
+:func:`_required` lists those gadgets, :func:`add_cnp` splices the structure
+onto a diagram's anchor spiders, and :func:`match_cnp` finds it on a
+frontier as a :class:`MatchPlan`.  A match may need a gadget's phase split
+(the NCP takes the required phase, a gadget on the same legs keeps the rest)
+or, in ``with-insert`` mode, a missing gadget inserted (the NCP takes the
+required phase, a gadget with the opposite phase stays behind).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import AbstractSet, Collection, Iterable, Iterator, Literal, Optional
@@ -22,14 +20,7 @@ from typing import AbstractSet, Collection, Iterable, Iterator, Literal, Optiona
 from .diagram import GadgetView, ZxDiagram
 from .phase import Phase
 
-__all__ = [
-    "MatchPlan",
-    "theorem1_template",
-    "add_cnp",
-    "match_cnp",
-    "lemma2_sum",
-    "phase_accumulation",
-]
+__all__ = ["MatchPlan", "add_cnp", "match_cnp"]
 
 
 def _required(anchors, alpha: Phase) -> Iterator[tuple[tuple, Phase]]:
@@ -65,30 +56,20 @@ class MatchPlan:
     def phi(self) -> Phase:
         return self.alpha * (1 << (self.n - 1))
 
-    @property
-    def required(self) -> tuple[tuple[tuple[int, ...], Phase], ...]:
-        """Theorem 1's gadget leg-sets on ``target_set`` with their phases."""
-        return tuple(_required(self.target_set, self.alpha))
-
-
-def theorem1_template(anchors: Iterable[int], phi: Phase) -> MatchPlan:
-    """Structure of the controlled phase gate with phase phi on the anchors, nothing matched."""
-    anchors = tuple(anchors)
-    if len(anchors) < 2:
-        raise ValueError("controlled phase structure needs n >= 2")
-    return MatchPlan(anchors, phi.div_pow2(len(anchors) - 1))
-
 
 def add_cnp(d: ZxDiagram, anchors: Iterable[int], phi: Phase) -> None:
     """Splice the structure of ``NCP(phi)`` onto existing anchor spiders."""
-    t = theorem1_template(anchors, phi)
-    for a in t.target_set:
+    anchors = tuple(anchors)
+    if len(anchors) < 2:
+        raise ValueError("controlled phase structure needs n >= 2")
+    for a in anchors:
         if not d.contains(a):
             raise ValueError(f"unknown anchor spider {a}")
-    for legs, p in t.required:
+    alpha = phi.div_pow2(len(anchors) - 1)
+    for legs, p in _required(anchors, alpha):
         d.add_gadget(legs, p)
-    for a in t.target_set:
-        d.add_phase(a, t.alpha)
+    for a in anchors:
+        d.add_phase(a, alpha)
 
 
 def match_cnp(
@@ -178,38 +159,3 @@ def _extend_anchors(
                 break
     return extra
 
-
-def lemma2_sum(n: int, l: int) -> int:
-    """Signed count of odd-parity leg subsets over all gadget sizes.
-
-    Equals ``2^(n-1)`` when every variable is one (l == n) and 0 otherwise,
-    which is exactly why the gadget structure acts as a controlled phase.
-    """
-    if not 0 <= l <= n or n < 1:
-        raise ValueError("need 0 <= l <= n, n >= 1")
-    total = 0
-    for k in range(1, n + 1):
-        inner = 0
-        for j in range(0, min(k, l) + 1):
-            if j % 2 == 1:
-                inner += math.comb(l, j) * math.comb(n - l, k - j)
-        total += inner if k % 2 == 1 else -inner
-    return total
-
-
-def phase_accumulation(t: MatchPlan, basis: tuple[int, ...]) -> Phase:
-    """Exact diagonal phase the structure applies to one basis state of its anchors."""
-    if len(basis) != t.n:
-        raise ValueError("basis length does not match template size")
-    bit = dict(zip(t.target_set, basis))
-    total = Phase(0)
-    for b in basis:
-        if b:
-            total = total + t.alpha
-    for legs, p in t.required:
-        parity = 0
-        for a in legs:
-            parity ^= bit[a] & 1
-        if parity:
-            total = total + p
-    return total

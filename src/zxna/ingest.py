@@ -53,8 +53,8 @@ def circuit_to_diagram(c: Circuit) -> ZxDiagram:
             pend_h[qs[0]] ^= True
         elif k == "CZ":
             d.toggle_edge(anchor(qs[0]), anchor(qs[1]))
-        elif k in ("NCP", "NCZ"):
-            add_cnp(d, [anchor(q) for q in qs], g.angle or Phase(1))
+        elif k == "NCP":
+            add_cnp(d, [anchor(q) for q in qs], g.angle)
         elif k in _WIRE_PHASES:
             for basis, p in _WIRE_PHASES[k]:  # an X phase sits between two Hadamard toggles
                 pend_h[qs[0]] ^= basis == "X"

@@ -8,7 +8,7 @@ qubit 0 is the least significant bit of a basis index.
 vectors, and ``circuit_unitary`` runs it over the identity.  Most gates of
 the circuit IR are monomial: they map each basis state to one basis state
 times a phase.  These are the diagonal gates (Z, S, Sdg, T, Tdg, Rz, CZ,
-NCZ, NCP) and the permutation gates (X, Y, CX, Swap).  ``apply_circuit``
+NCP) and the permutation gates (X, Y, CX, Swap).  ``apply_circuit``
 composes them into one pending operator, a row permutation and a phase
 vector of length 2**n each, so such a gate costs O(2**n) and leaves the
 array alone.  The pending operator is written into the array, as one row
@@ -81,7 +81,7 @@ def gate_matrix(g: Gate) -> np.ndarray:
         for j in range(dim):
             m[((j & 1) << 1) | ((j >> 1) & 1), j] = 1
         return m
-    if k in ("CZ", "NCZ", "NCP"):
+    if k in ("CZ", "NCP"):
         phi = g.angle.to_float() if k == "NCP" else math.pi
         d = np.ones(dim, dtype=complex)
         d[dim - 1] = np.exp(1j * phi)
@@ -134,7 +134,7 @@ def apply_circuit(state: np.ndarray, c: Circuit) -> np.ndarray:
             if kind != "Y":
                 continue
             d = _Y_PHASES[qbit[qs[0]]]
-        elif kind in ("CZ", "NCZ", "NCP"):
+        elif kind in ("CZ", "NCP"):
             mask = sum(1 << q for q in qs)
             e = np.exp(1j * g.angle.to_float()) if kind == "NCP" else -1.0
             d = np.where((bits & mask) == mask, e, 1.0)

@@ -39,7 +39,7 @@ def synthesize(
     if kind == "no-decomp":
         out = cancel_gates(to_ncz_baseline(c))
         for g in out.gates:
-            if g.kind in ("NCZ", "NCP") and max_ctrl is not None and len(g.qubits) > max_ctrl:
+            if g.kind == "NCP" and max_ctrl is not None and len(g.qubits) > max_ctrl:
                 raise ValueError(f"no-decomp keeps {g.kind} on qubits {list(g.qubits)}, wider than max_ctrl {max_ctrl}")
         return out
     d = circuit_to_diagram(c)

@@ -4,8 +4,10 @@ The gate vocabulary lives in one table, ``_GATES``: each QASM name maps to
 its IR kind, parameter count and qubit count.  The reader looks calls up
 there; the writer's names are its inverse.  Besides the table the reader
 knows the multi-controlled phase family ``ncp<m>``/``ncz<m>``/``mcp``/
-``mcphase``, which round-trips through opaque declarations (a name's digits
-fix its qubit count), and user gate definitions, expanded at call sites.  A
+``mcphase`` (a name's digits fix its qubit count), and user gate
+definitions, expanded at call sites.  Every multi-controlled Z (``ccz``,
+``ncz<m>`` and the core of ``ccx``) is read as ``NCP(pi)``, and the writer
+names an NCP on m >= 3 qubits ``ncp<m>``, declared opaque.  A
 definition takes a name none of these holds, and its body may call only
 built-ins, that family and gates defined before it.  The reader also
 handles qreg/creg declarations, ``include``, ``barrier`` (ignored) and
@@ -68,8 +70,8 @@ _ONE_CHAR_TOKEN = re.compile(r"[A-Za-z_{}()\[\],;+\-*/0-9]")
 
 
 #: QASM name -> (IR kind, parameter count, qubit count).  Kind ``None`` drops
-#: the gate; ``u2``, ``u3`` and ``ccx`` are composites.  The first name
-#: listed for a kind is the one written.
+#: the gate; ``u2``, ``u3``, ``ccx`` and ``ncz`` (``NCP(pi)``) are composites.
+#: The first name listed for a kind is the one written.
 _GATES = {
     "h": ("H", 0, 1), "x": ("X", 0, 1), "y": ("Y", 0, 1), "z": ("Z", 0, 1),
     "s": ("S", 0, 1), "sdg": ("Sdg", 0, 1), "t": ("T", 0, 1), "tdg": ("Tdg", 0, 1),
@@ -78,7 +80,7 @@ _GATES = {
     "u2": ("u2", 2, 1), "u3": ("u3", 3, 1), "u": ("u3", 3, 1), "U": ("u3", 3, 1),
     "cx": ("CX", 0, 2), "CX": ("CX", 0, 2), "cz": ("CZ", 0, 2),
     "cp": ("NCP", 1, 2), "cu1": ("NCP", 1, 2), "swap": ("Swap", 0, 2),
-    "ccx": ("ccx", 0, 3), "ccz": ("NCZ", 0, 3),
+    "ccx": ("ccx", 0, 3), "ccz": ("ncz", 0, 3),
 }
 #: (IR kind, qubit count) -> QASM name, for the writer
 _QASM_NAMES = {(kind, nq): name for name, (kind, _, nq) in reversed(_GATES.items())}
@@ -323,6 +325,8 @@ class _Parser:
         self.expect(";")
         if _NCP_NAME.match(name) is None:
             raise self.error(f"unsupported opaque gate {name!r}", at)
+        if name in self.defs:
+            raise self.error(f"gate {name!r} is already defined", at)
         self.opaque.add(name)
 
     def ncp_spec(self, name: str, called: int, at: int) -> Optional[tuple]:
@@ -337,8 +341,7 @@ class _Parser:
         nq = self.integer(m.group(2), at) if m.group(2) else max(called, 2)
         if nq < 2:
             return None
-        kind = "NCZ" if m.group(1) == "ncz" else "NCP"
-        return kind, int(kind == "NCP"), nq
+        return ("ncz", 0, nq) if m.group(1) == "ncz" else ("NCP", 1, nq)
 
     # -- gate calls --------------------------------------------------------
 
@@ -394,13 +397,15 @@ class _Parser:
             phases = [v.to_phase() for v in params] if params else ()
         except ValueError as e:
             raise self.error(str(e), at) from None
+        if kind == "ncz":
+            kind, phases = "NCP", (Phase(1),)
         if kind == "u2":
             self._u3(Phase(1, 2), *phases, qubits[0])
         elif kind == "u3":
             self._u3(*phases, qubits[0])
         elif kind == "ccx":
             h = Gate("H", (qubits[2],))
-            self.gates += [h, Gate("NCZ", tuple(qubits)), h]
+            self.gates += [h, Gate("NCP", tuple(qubits), Phase(1)), h]
         elif kind is not None:
             self.gates.append(Gate(kind, tuple(qubits), *phases))
 
@@ -541,16 +546,13 @@ def parse_qasm(text: str) -> Circuit:
 
 
 def write_qasm(c: Circuit) -> str:
-    """Serialize a circuit; NCP/NCZ gates the table has no name for use opaque ncp<m>/ncz<m>."""
+    """Serialize a circuit; an NCP on m qubits the table has no name for is an opaque ``ncp<m>``."""
     names = dict(_QASM_NAMES)
-    opaque = sorted(
-        {(g.kind, len(g.qubits)) for g in c.gates if g.kind in ("NCP", "NCZ")} - names.keys()
-    )
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";']
-    for kind, m in opaque:
-        names[kind, m] = f"{kind.lower()}{m}"
-        theta = "(theta)" if kind == "NCP" else ""
-        lines.append(f"opaque {names[kind, m]}{theta} {','.join(f'q{i}' for i in range(m))};")
+    arities = {len(g.qubits) for g in c.gates if g.kind == "NCP"}
+    for m in sorted(arities - {nq for kind, nq in names if kind == "NCP"}):
+        names["NCP", m] = f"ncp{m}"
+        lines.append(f"opaque ncp{m}(theta) {','.join(f'q{i}' for i in range(m))};")
     lines.append(f"qreg q[{c.num_qubits}];")
     if c.measurements:
         lines.append(f"creg c[{max(b for _, b in c.measurements) + 1}];")

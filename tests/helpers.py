@@ -8,7 +8,7 @@ import random
 
 import numpy as np
 
-from zxna import Circuit, Gate, Phase
+from zxna import Circuit, Gate, Phase, ZxDiagram
 from zxna.circuit import _merge
 from zxna.backend import GR, Ncp, RzLayer
 from zxna.gflow import LabeledOpenGraph, odd_neighborhood
@@ -35,7 +35,7 @@ def rand_corpus_circuit(seed: int, max_qubits: int = 8, max_gates: int = 60) -> 
         elif k == "CCZ":
             if n < 3:
                 continue
-            gates.append(Gate("NCZ", tuple(rng.sample(range(n), 3))))
+            gates.append(Gate("NCP", tuple(rng.sample(range(n), 3)), Phase(1)))
         else:  # CP
             p = Phase(rng.randint(-7, 8), rng.choice([2, 4, 8]))
             gates.append(Gate("NCP", tuple(rng.sample(range(n), 2)), p))
@@ -59,8 +59,8 @@ def rand_rich_circuit(seed: int, max_qubits: int = 6, max_gates: int = 30) -> Ci
         elif k in ("NCZ", "NCP"):
             m = rng.randint(2, min(4, n))
             qs = tuple(rng.sample(range(n), m))
-            if k == "NCZ":
-                gates.append(Gate("NCZ", qs))
+            if k == "NCZ":  # NCP(pi), drawn as its own kind
+                gates.append(Gate("NCP", qs, Phase(1)))
             else:
                 gates.append(Gate("NCP", qs, Phase(rng.randint(-7, 8), rng.choice([1, 2, 4, 8]))))
         elif k in ("Rx", "Ry", "Rz"):
@@ -154,6 +154,51 @@ def random_su2(rng: random.Random) -> np.ndarray:
     z = np.array([[rng.gauss(0, 1) + 1j * rng.gauss(0, 1) for _ in range(2)] for _ in range(2)])
     q, r = np.linalg.qr(z)
     return q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
+
+
+# -- Theorem 1 oracles ---------------------------------------------------------
+
+
+def lemma2_sum(n: int, l: int) -> int:
+    """Signed count of odd-parity leg subsets over all gadget sizes.
+
+    Equals ``2^(n-1)`` when every variable is one (l == n) and 0 otherwise,
+    which is exactly why the gadget structure acts as a controlled phase.
+    """
+    if not 0 <= l <= n or n < 1:
+        raise ValueError("need 0 <= l <= n, n >= 1")
+    total = 0
+    for k in range(1, n + 1):
+        inner = 0
+        for j in range(0, min(k, l) + 1):
+            if j % 2 == 1:
+                inner += math.comb(l, j) * math.comb(n - l, k - j)
+        total += inner if k % 2 == 1 else -inner
+    return total
+
+
+def phase_accumulation(d: ZxDiagram, basis: tuple[int, ...]) -> Phase:
+    """Exact diagonal phase of an anchored gadget diagram on one basis state of its outputs.
+
+    ``d`` must be output anchors plus phase gadgets whose legs are anchors,
+    as :func:`zxna.cnp.add_cnp` builds on bare anchors.  Each anchor set to
+    one adds its phase, and each gadget with an odd number of legs set to
+    one adds its phase.
+    """
+    if len(basis) != len(d.outputs):
+        raise ValueError("basis length does not match the anchor count")
+    gadgets = d.find_gadgets()
+    if set(d.spiders()) != {*d.outputs} | {v for g in gadgets for v in (g.top, g.root)}:
+        raise ValueError("diagram is not anchors plus gadgets on them")
+    bit = dict(zip(d.outputs, basis))
+    total = Phase(0)
+    for a, b in bit.items():
+        if b:
+            total = total + d.phase(a)
+    for g in gadgets:
+        if sum(bit[a] for a in g.legs) % 2:
+            total = total + g.phase
+    return total
 
 
 # -- brute-force gflow oracle ------------------------------------------------

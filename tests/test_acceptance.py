@@ -16,7 +16,9 @@ import pytest
 from helpers import (
     all_small_open_graphs,
     brute_gflow_exists,
+    lemma2_sum,
     native_unitary,
+    phase_accumulation,
     qft_circuit,
     rand_corpus_circuit,
     rand_open_graph,
@@ -26,6 +28,7 @@ from zxna import (
     Circuit,
     ExtractionMode,
     Phase,
+    ZxDiagram,
     circuit_unitary,
     equal_up_to_scalar,
     extract_circuit,
@@ -45,7 +48,7 @@ from zxna.backend import (
     transversal_decompose,
     zyz_angles,
 )
-from zxna.cnp import add_cnp, lemma2_sum, phase_accumulation, theorem1_template
+from zxna.cnp import add_cnp
 from zxna.gflow import labeled_graph_of
 from zxna.ingest import circuit_to_diagram, to_graph_like
 from zxna.oracle import gate_matrix
@@ -95,8 +98,6 @@ def test_criterion_1_diagonal_structure_oracle(capsys):
     worst = 0.0
     for n in range(2, 7):
         for phi in (Phase(1), Phase(1, 2), Phase(-3, 4)):
-            from zxna import ZxDiagram
-
             d = ZxDiagram(0, n)
             anchors = [d.add_spider() for _ in range(n)]
             d.outputs = list(anchors)
@@ -125,10 +126,12 @@ def test_criterion_2_alternating_sum_table(capsys):
                 ok = False
             cases += 1
     for n in range(2, 7):
-        t = theorem1_template(range(n), Phase(1, 2))
+        d = ZxDiagram(0, n)
+        d.outputs = [d.add_spider() for _ in range(n)]
+        add_cnp(d, d.outputs, Phase(1, 2))
         for basis in product((0, 1), repeat=n):
             want = Phase(1, 2) if all(basis) else Phase(0)
-            if phase_accumulation(t, basis) != want:
+            if phase_accumulation(d, basis) != want:
                 ok = False
     dt = time.perf_counter() - t0
     ok = ok and dt < 5.0 and cases == 90

@@ -65,7 +65,7 @@ def test_circuit_range_error_names_the_gate():
 
 def test_circuit_qubits_are_ints():
     # a float or bool qubit would be written as q[1.0] or read as qubit 1 far from here
-    for bad in (Gate("H", (1.0,)), Gate("CZ", (True, 0)), Gate("NCZ", (0, 1, np.int64(2)))):
+    for bad in (Gate("H", (1.0,)), Gate("CZ", (True, 0)), Gate("NCP", (0, 1, np.int64(2)), Phase(1))):
         for gates in ((bad,), (Gate("H", (0,)), bad)):
             with pytest.raises(ValueError, match=re.escape(f"gate {bad} has a qubit that is not an int")):
                 Circuit(3, gates)
@@ -117,8 +117,14 @@ def test_cancel_merges_ncp():
         Gate("NCP", (2, 0, 1), Phase(-1, 4)),
     ))
     assert cancel_gates(c).gates == ()
-    c2 = Circuit(2, (Gate("NCZ", (0, 1)), Gate("NCP", (1, 0), Phase(1))))
+    c2 = Circuit(2, (Gate("NCP", (0, 1), Phase(1)), Gate("NCP", (1, 0), Phase(1))))
     assert cancel_gates(c2).gates == ()
+
+
+def test_ncp_is_the_one_multi_controlled_z():
+    # C^kZ is NCP(pi): there is no second kind for it
+    with pytest.raises(ValueError, match="unknown gate kind 'NCZ'"):
+        Gate("NCZ", (0, 1))
 
 
 def test_cancel_drops_zero_rotations():
@@ -153,7 +159,7 @@ def _disjoint_runs_circuit(seed: int) -> Circuit:
         elif len(qs) == 2:
             pair = [Gate(rng.choice(("CX", "CZ", "Swap")), qs), Gate("NCP", qs[::-1], angle)]
         else:
-            pair = [Gate("NCZ", qs), Gate("NCP", qs[::-1], angle)]
+            pair = [Gate("NCP", qs, Phase(1)), Gate("NCP", qs[::-1], angle)]
         gates.append(rng.choice(pair))
         for _ in range(rng.randint(5, 60)):
             if len(rest) > 1 and rng.random() < 0.3:
@@ -198,13 +204,13 @@ def test_lower_to_cz_order():
         h2, Gate("CZ", (0, 2)), h2,
     ]
     others = [g for seed in range(20) for g in rand_rich_circuit(seed).gates if g.kind not in ("CX", "Swap")]
-    assert {g.kind for g in others} == set(RICH_KINDS) - {"CX", "Swap"}
+    assert {g.kind for g in others} == set(RICH_KINDS) - {"CX", "Swap", "NCZ"}  # an NCZ draw is an NCP
     out = list(lower_to_cz(others))
     assert len(out) == len(others) and all(a is b for a, b in zip(out, others))
 
 
 def test_consumers_read_the_one_lowering():
-    # ingest, the NCZ baseline and the scheduler see a CX or Swap exactly as
+    # ingest, the NCP baseline and the scheduler see a CX or Swap exactly as
     # the H-CZ-H gates lower_to_cz yields for it
     kinds = set()
     for seed in range(200):
@@ -220,14 +226,14 @@ def test_consumers_read_the_one_lowering():
 def test_baseline_cx():
     c = Circuit(2, (Gate("CX", (0, 1)),))
     assert to_ncz_baseline(c).gates == (
-        Gate("H", (1,)), Gate("NCZ", (0, 1)), Gate("H", (1,)),
+        Gate("H", (1,)), Gate("NCP", (0, 1), Phase(1)), Gate("H", (1,)),
     )
 
 
 def test_baseline_cz_and_swap():
     c = Circuit(2, (Gate("CZ", (0, 1)), Gate("Swap", (0, 1))))
     out = to_ncz_baseline(c)
-    assert all(g.kind in ("H", "NCZ") for g in out.gates)
+    assert all(g.kind == "H" or g == Gate("NCP", g.qubits, Phase(1)) for g in out.gates)
     assert equal_up_to_scalar(circuit_unitary(out), circuit_unitary(c), 1e-9)
 
 
@@ -236,5 +242,5 @@ def test_baseline_gate_set_and_unitary():
         c = rand_rich_circuit(seed + 100, max_qubits=5, max_gates=20)
         out = to_ncz_baseline(c)
         for g in out.gates:
-            assert len(g.qubits) == 1 or g.kind in ("NCZ", "NCP")
+            assert len(g.qubits) == 1 or g.kind == "NCP"
         assert equal_up_to_scalar(circuit_unitary(out), circuit_unitary(c), 1e-9)

@@ -110,11 +110,11 @@ def test_run_rejects_max_ctrl_below_two(qasm_file, capsys):
 
 
 def test_run_no_decomp_checks_max_ctrl(tmp_path, capsys):
-    # no-decomp keeps ccx as one arity-3 NCZ: it rejects a cap below 2 as the
+    # no-decomp keeps ccx as one arity-3 NCP(pi): it rejects a cap below 2 as the
     # ZX pipelines do, and names that gate under a cap of 2
     f = tmp_path / "ccx.qasm"
     f.write_text(CCX)
-    for cap, error in (("0", "max_ctrl must be at least 2"), ("2", "NCZ on qubits [0, 1, 2], wider than max_ctrl 2")):
+    for cap, error in (("0", "max_ctrl must be at least 2"), ("2", "NCP on qubits [0, 1, 2], wider than max_ctrl 2")):
         assert main(["run", str(f), "--pipeline", "no-decomp", "--max-ctrl", cap]) == 1
         assert error in json.loads(capsys.readouterr().out)["error"]
     assert main(["run", str(f), "--pipeline", "no-decomp", "--max-ctrl", "3"]) == 0

@@ -1,16 +1,11 @@
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
+from helpers import lemma2_sum, phase_accumulation
 from zxna import Phase, ZxDiagram, diagram_tensor, equal_up_to_scalar
-from zxna.cnp import (
-    add_cnp,
-    lemma2_sum,
-    match_cnp,
-    phase_accumulation,
-    theorem1_template,
-)
+from zxna.cnp import add_cnp, match_cnp
 
 
 def _anchored(n):
@@ -20,29 +15,39 @@ def _anchored(n):
     return d, anchors
 
 
+def _cnp(n, phi):
+    """``add_cnp`` on n bare anchors: the diagram, its anchor phases and its
+    gadgets as (anchor positions of the legs, phase), in creation order."""
+    d, anchors = _anchored(n)
+    add_cnp(d, anchors, phi)
+    gadgets = [(tuple(sorted(map(anchors.index, g.legs))), g.phase) for g in d.find_gadgets()]
+    return d, [d.phase(a) for a in anchors], gadgets
+
+
 def test_template_n2():
-    t = theorem1_template(range(2), Phase(1))
-    assert t.alpha == Phase(1, 2)
-    assert t.required == (((0, 1), Phase(-1, 2)),)
-    assert t.phi == Phase(1)
+    d, alphas, gadgets = _cnp(2, Phase(1))
+    assert alphas == [Phase(1, 2)] * 2
+    assert gadgets == [((0, 1), Phase(-1, 2))]
+    assert phase_accumulation(d, (1, 1)) == Phase(1)
 
 
 def test_template_n3():
-    t = theorem1_template(range(3), Phase(1))
-    assert t.alpha == Phase(1, 4)
-    pairs = [(s, p) for s, p in t.required if len(s) == 2]
-    triples = [(s, p) for s, p in t.required if len(s) == 3]
+    _, alphas, gadgets = _cnp(3, Phase(1))
+    assert alphas == [Phase(1, 4)] * 3
+    pairs = [(s, p) for s, p in gadgets if len(s) == 2]
+    triples = [(s, p) for s, p in gadgets if len(s) == 3]
     assert len(pairs) == 3 and all(p == Phase(-1, 4) for _, p in pairs)
     assert triples == [((0, 1, 2), Phase(1, 4))]
 
 
 def test_template_counts():
     for n in range(2, 7):
-        t = theorem1_template(range(n), Phase(1, 2))
-        assert len(t.required) == (1 << n) - n - 1
-        assert t.alpha == Phase(1, 2).div_pow2(n - 1)
+        _, alphas, gadgets = _cnp(n, Phase(1, 2))
+        assert len(gadgets) == (1 << n) - n - 1
+        assert sorted(s for s, _ in gadgets) == sorted(s for k in range(2, n + 1) for s in combinations(range(n), k))
+        assert alphas == [Phase(1, 2).div_pow2(n - 1)] * n
     with pytest.raises(ValueError):
-        theorem1_template(range(1), Phase(1))
+        add_cnp(*_anchored(1), Phase(1))
 
 
 def test_add_cnp_validation():
@@ -77,12 +82,16 @@ def test_lemma2_values():
 
 def test_phase_accumulation():
     for n in (2, 3, 4):
-        t = theorem1_template(range(n), Phase(1, 2))
+        d = _cnp(n, Phase(1, 2))[0]
         for basis in product((0, 1), repeat=n):
-            got = phase_accumulation(t, basis)
+            got = phase_accumulation(d, basis)
             assert got == (Phase(1, 2) if all(basis) else Phase(0))
     with pytest.raises(ValueError):
-        phase_accumulation(theorem1_template(range(2), Phase(1)), (1,))
+        phase_accumulation(_cnp(2, Phase(1))[0], (1,))
+    d = _cnp(2, Phase(1))[0]
+    d.add_spider()
+    with pytest.raises(ValueError):  # a spider neither anchor nor gadget
+        phase_accumulation(d, (1, 1))
 
 
 def test_match_exact_structure():
@@ -91,7 +100,8 @@ def test_match_exact_structure():
     plan = match_cnp(d.frontier_gadgets(set(anchors)), set(anchors), "no-insert")
     assert plan is not None
     assert plan.n == 3 and plan.phi == Phase(1)
-    assert plan.required == theorem1_template(anchors, Phase(1)).required
+    assert all(d.phase(a) == plan.alpha for a in anchors)
+    assert {legs: g.phase for legs, g in plan.matched.items()} == {g.legs: g.phase for g in d.find_gadgets()}
     assert not plan.insertions and not plan.splits
     assert len(plan.matched) == 4
 

@@ -126,6 +126,43 @@ def test_extract_requires_gflow():
     assert ZxDiagram.from_json(dump).to_json() == d.to_json()
 
 
+def _fuzzed_diagram(seed):
+    """A small ingested circuit, simplified in 70% of cases, with 1-3 wires
+    toggled between non-input spiders: about 60% of these have no gflow."""
+    rng = random.Random(seed)
+    d = circuit_to_diagram(rand_rich_circuit(seed, max_qubits=4, max_gates=16))
+    if rng.random() < 0.7:
+        full_simplify(d)
+    vs = [v for v in d.spiders() if v not in d.inputs]
+    for _ in range(rng.randint(1, 3) if len(vs) > 1 else 0):
+        d.toggle_edge(*rng.sample(vs, 2))
+    return d
+
+
+def test_gflow_is_proved_only_when_extraction_fails():
+    # extraction runs first and proves gflow only on failure: a diagram
+    # without gflow still raises "no gflow" with the caller's diagram, and
+    # one with gflow gives the circuits the up-front check gave (digest
+    # pinned with that check in place)
+    h = hashlib.sha256()
+    no_gflow = 0
+    for seed in range(1500):
+        d = _fuzzed_diagram(seed)
+        dump = d.to_json()
+        has_gflow = find_gflow(labeled_graph_of(d)) is not None
+        for kind in ("default", "with-insert"):
+            if has_gflow:
+                h.update(repr(extract_circuit(d, ExtractionMode(kind)).gates).encode())
+                continue
+            with pytest.raises(ExtractionError, match="^diagram not extractable: no gflow\n") as info:
+                extract_circuit(d, ExtractionMode(kind))
+            assert str(info.value).split("\ndiagram: ", 1)[1] == dump
+            no_gflow += 1
+        assert d.to_json() == dump
+    assert no_gflow == 1790
+    assert h.hexdigest() == "93875a4cd114ddf3418dfb88cf39603e798912ac9c409f22cda1327e5d6daf67"
+
+
 def test_extract_rejects_a_non_square_diagram():
     # gflow exists, but no circuit has 0 inputs and 2 outputs
     d = ZxDiagram(0, 2)
@@ -185,8 +222,8 @@ def test_extraction_mode_rejects_max_ctrl_below_two():
 
 def test_extraction_mode_rejects_non_int_max_ctrl():
     # 2.5 passed a bare `< 2` check, and with-insert then emitted a
-    # three-qubit NCP for an NCZ; "3" failed the comparison with a TypeError
-    ccz = Circuit(3, (Gate("NCZ", (0, 1, 2)),))
+    # three-qubit NCP for a CCZ; "3" failed the comparison with a TypeError
+    ccz = Circuit(3, (Gate("NCP", (0, 1, 2), Phase(1)),))
     for max_ctrl in (2.5, 3.0, "3", True):
         with pytest.raises(ValueError, match=re.escape(f"and an int, got {max_ctrl!r}")):
             ExtractionMode("with-insert", max_ctrl=max_ctrl)
@@ -196,7 +233,7 @@ def test_extraction_mode_rejects_non_int_max_ctrl():
 
 
 def test_extract_ncz3_as_single_ncp():
-    c = Circuit(3, (Gate("NCZ", (0, 1, 2)),))
+    c = Circuit(3, (Gate("NCP", (0, 1, 2), Phase(1)),))
     d = circuit_to_diagram(c)
     out = cancel_gates(extract_circuit(d, ExtractionMode("no-insert")))
     assert len(out.gates) == 1

@@ -41,7 +41,7 @@ def test_ncp_splices_gadget_structure():
 
 
 def test_ncz3_tensor():
-    c = Circuit(3, (Gate("NCZ", (0, 1, 2)),))
+    c = Circuit(3, (Gate("NCP", (0, 1, 2), Phase(1)),))
     d = circuit_to_diagram(c)
     ref = np.diag([1, 1, 1, 1, 1, 1, 1, -1]).astype(complex)
     assert equal_up_to_scalar(diagram_tensor(d), ref, 1e-10)
@@ -83,7 +83,7 @@ def test_unknown_gate_rejected():
 
 def test_ingest_digest():
     # Spider ids, edges and phases of ingest over every gate kind (X, Y, Ry,
-    # Z, Sdg, Tdg, Swap and NCZ of arity 4 included): a refactor of ingest
+    # Z, Sdg, Tdg, Swap and NCP(pi) of arity 4 included): a refactor of ingest
     # must leave this digest as it is
     h = hashlib.sha256()
     for c in [rand_rich_circuit(seed) for seed in range(200)] + [qft_circuit(n) for n in range(4, 17)]:

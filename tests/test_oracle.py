@@ -22,7 +22,7 @@ GATES = [
     Gate("Tdg", (1,)),
     Gate("Rz", (3,), Phase(3, 8)),
     Gate("CZ", (4, 1)),
-    Gate("NCZ", (2, 6, 0)),
+    Gate("NCP", (2, 6, 0), Phase(1)),
     Gate("NCP", (5, 2), Phase(-3, 4)),
     Gate("NCP", (6, 1, 3), Phase(1, 8)),
     Gate("NCP", (4, 0, 6, 2), Phase(5, 8)),
@@ -74,7 +74,7 @@ def test_circuit_unitary_matches_basis_product():
 MONOMIAL = Circuit(5, (
     Gate("T", (1,)), Gate("X", (1,)), Gate("Y", (3,)), Gate("CX", (0, 4)), Gate("S", (4,)),
     Gate("Swap", (2, 4)), Gate("Z", (0,)), Gate("Sdg", (2,)), Gate("Tdg", (3,)),
-    Gate("Rz", (4,), Phase(-5, 8)), Gate("Y", (0,)), Gate("CZ", (3, 1)), Gate("NCZ", (0, 2, 3)),
+    Gate("Rz", (4,), Phase(-5, 8)), Gate("Y", (0,)), Gate("CZ", (3, 1)), Gate("NCP", (0, 2, 3), Phase(1)),
     Gate("CX", (3, 2)), Gate("NCP", (1, 4), Phase(3, 4)), Gate("Swap", (0, 3)),
 ))
 CIRCUITS = {

@@ -14,7 +14,7 @@ def test_pipeline_output_digest():
         for p in PIPELINES:
             out, sched = run_pipeline(c, p)
             h.update((write_qasm(out) + sched.to_json()).encode())
-    assert h.hexdigest() == "2b18a16468728cddbd7f1919f75a4a4d218d5326d0ae9b5e0717716ee20e086b"
+    assert h.hexdigest() == "290183a5c9d3a54dae1916cbfb55b0013ba3a09389bdbd3af446f31a11b53e6c"
 
 
 def test_pipelines_keep_measurements():
@@ -25,3 +25,13 @@ def test_pipelines_keep_measurements():
         out, _ = run_pipeline(c, p)
         assert out.measurements == c.measurements == ((0, 2), (2, 0))
         assert parse_qasm(write_qasm(out)).measurements == c.measurements
+
+
+def test_no_decomp_writes_cz_as_ncp_pi():
+    # the baseline's CZ and CCZ are NCP(pi): written cp(pi) and ncp3(pi), never an ncz name
+    out, _ = run_pipeline(parse_qasm("qreg q[3]; cz q[0],q[1]; ccz q[0],q[1],q[2];"), "no-decomp")
+    text = write_qasm(out)
+    assert "ncz" not in text
+    assert text.splitlines()[2:] == [
+        "opaque ncp3(theta) q0,q1,q2;", "qreg q[3];", "cp(pi) q[0],q[1];", "ncp3(pi) q[0],q[1],q[2];",
+    ]

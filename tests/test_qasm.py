@@ -78,12 +78,30 @@ def test_u_family_unitaries():
 
 def test_ccx_and_ccz():
     c = parse_qasm("qreg q[3]; ccx q[0],q[1],q[2];")
-    assert c.gates == (Gate("H", (2,)), Gate("NCZ", (0, 1, 2)), Gate("H", (2,)))
+    assert c.gates == (Gate("H", (2,)), Gate("NCP", (0, 1, 2), Phase(1)), Gate("H", (2,)))
     ref = np.eye(8, dtype=complex)
     ref[[3, 7]] = ref[[7, 3]]  # controls 0,1 set: flip qubit 2 (qubit 0 least significant)
     assert equal_up_to_scalar(circuit_unitary(c), ref, 1e-9)
     c2 = parse_qasm("qreg q[3]; ccz q[2],q[0],q[1];")
-    assert c2.gates == (Gate("NCZ", (2, 0, 1)),)
+    assert c2.gates == (Gate("NCP", (2, 0, 1), Phase(1)),)
+    # every multi-controlled Z is read as NCP(pi), with or without a declaration
+    for head in ("qreg q[4]; ", "qreg q[4]; opaque ncz4 a, b, c, d; "):
+        assert parse_qasm(head + "ncz4 q[3], q[0], q[1], q[2];").gates == (Gate("NCP", (3, 0, 1, 2), Phase(1)),)
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_ncp_pi_roundtrips_at_every_arity(m):
+    # NCP(pi) is written as cp(pi) or an opaque ncp<m>(pi), never as an ncz
+    # name, and reads back as itself, as the same call spelled ncz<m> does
+    qs = tuple(range(m))[::-1]
+    c = Circuit(6, (Gate("NCP", qs, Phase(1)), Gate("NCP", (0, 5), Phase(1))))
+    text = write_qasm(c)
+    assert "ncz" not in text
+    assert ("opaque" in text) == (m > 2)
+    assert f"ncp{m}(pi) q[{m - 1}]" in text if m > 2 else "cp(pi) q[1],q[0];" in text
+    assert parse_qasm(text).gates == c.gates
+    calls = f"ncz{m} {', '.join(f'q[{q}]' for q in qs)}; ncz2 q[0], q[5];"
+    assert parse_qasm("qreg q[6]; " + calls).gates == c.gates
 
 
 def test_exact_angle_arithmetic():
@@ -148,7 +166,7 @@ ncz4 q[0],q[1],q[2],q[3];
     c = parse_qasm(qasm)
     assert c.gates == (
         Gate("NCP", (0, 1, 3), Phase(1, 4)),
-        Gate("NCZ", (0, 1, 2, 3)),
+        Gate("NCP", (0, 1, 2, 3), Phase(1)),
     )
 
 
@@ -337,11 +355,12 @@ def test_gate_definition_repeats_a_name(text, msg, col):
         ("qreg q[2]; gate ncp2(t) a, b { h a; } ncp2(pi) q[0], q[1];", "ncp2", (1, 17)),
         ("qreg q[2]; opaque mcp(t) a, b;\ngate mcp(t) a, b { h a; }", "mcp", (2, 6)),
         ("qreg q[1];\ngate g a { h a; }\ngate g a { x a; }\ng q[0];", "g", (3, 6)),
+        ("qreg q[2];\ngate mcp(t) a, b { h a; }\nopaque mcp(t) a, b;\nmcp(pi) q[0], q[1];", "mcp", (3, 8)),
     ],
-    ids=["built-in", "ncp-family", "opaque", "earlier-definition"],
+    ids=["built-in", "ncp-family", "opaque", "earlier-definition", "opaque-after-definition"],
 )
 def test_gate_definition_reuses_a_name(text, name, pos):
-    # else the built-in, the ncp family or the first definition would win silently
+    # else the built-in, the ncp family, the first definition or the opaque declaration would win silently
     with pytest.raises(QasmError, match=f"gate '{name}' is already defined") as e:
         parse_qasm(text)
     assert (e.value.line, e.value.col) == pos
@@ -490,7 +509,7 @@ def test_parse_digest():
     for text in texts:
         c = parse_qasm(text)
         h.update(repr((c.num_qubits, c.gates, c.measurements)).encode())
-    assert h.hexdigest() == "0866133f09fb0976c2f6ce6a6d6174eb7088f971c50d50975027efc222d63293"
+    assert h.hexdigest() == "6db001277f75f33b9dd64d3e40b81260cc771a2d1dedcd0afe53a13b5e17a9cd"
 
 
 def _edits(text):
